@@ -6,7 +6,7 @@
 // overhead, while the cache hit-rate win is machine-independent.
 //
 // Thread accounting: "threads" is the number of EXECUTING threads. The
-// calling thread always participates in ParallelFor, so a pool of N workers
+// calling thread always participates in a TaskGraph run, so a pool of N workers
 // gives N+1 executors — the sweep therefore builds ThreadPool(threads - 1).
 
 #include <benchmark/benchmark.h>

@@ -67,7 +67,7 @@ class CompletionHandle {
 /// succeed before after starts". Run() dispatches ready nodes onto the pool
 /// in topological order and blocks until every node is terminal.
 ///
-/// Semantics, chosen for byte-parity with the serial code paths:
+/// Semantics, chosen so a pooled run reports what an in-order sweep would:
 ///  - Failure propagation: a node whose predecessor failed (or was
 ///    cancelled) never runs; it is cancelled, transitively.
 ///  - Fail-fast (RunOptions::fail_fast): when a node fails, every
@@ -81,12 +81,13 @@ class CompletionHandle {
 ///    node_status()/node_cancelled() for callers that fold their own
 ///    reports (degraded-mode playback collects *all* quarantine reasons).
 ///
-/// Scheduling reuses the ParallelFor discipline: the calling thread always
-/// participates in the drain loop and waits on node *completions*, so a
-/// graph run nested inside a pool task (or run with a null pool) makes
-/// progress even when every worker is busy. With a null pool and no async
-/// nodes, execution is serial lowest-ready-id order on the caller — the
-/// deterministic topological order.
+/// Scheduling: the calling thread always participates in the drain loop and
+/// waits on node *completions*, not on helper tasks, so a graph run nested
+/// inside a pool task (or run with a null pool) makes progress even when
+/// every worker is busy. With a null pool and no async nodes, execution is
+/// serial lowest-ready-id order on the caller — the deterministic
+/// topological order — which is how the engine and the verifier run their
+/// graphs inline when no pool is configured.
 ///
 /// A TaskGraph is built once, run once. Not thread-safe during
 /// construction; Run() itself is internally synchronized.

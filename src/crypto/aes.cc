@@ -1,5 +1,6 @@
 #include "crypto/aes.h"
 
+#include <array>
 #include <cstring>
 
 namespace discsec {
@@ -7,7 +8,7 @@ namespace crypto {
 
 namespace {
 
-const uint8_t kSbox[256] = {
+constexpr uint8_t kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
     0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
@@ -31,21 +32,19 @@ const uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-uint8_t kInvSbox[256];
-bool inv_sbox_ready = false;
-
-void EnsureInvSbox() {
-  if (!inv_sbox_ready) {
-    for (int i = 0; i < 256; ++i) kInvSbox[kSbox[i]] = static_cast<uint8_t>(i);
-    inv_sbox_ready = true;
-  }
+// Generated at compile time, so no thread ever writes an AES table.
+constexpr std::array<uint8_t, 256> MakeInvSbox() {
+  std::array<uint8_t, 256> inv{};
+  for (int i = 0; i < 256; ++i) inv[kSbox[i]] = static_cast<uint8_t>(i);
+  return inv;
 }
+constexpr std::array<uint8_t, 256> kInvSbox = MakeInvSbox();
 
-inline uint8_t XTime(uint8_t x) {
+constexpr uint8_t XTime(uint8_t x) {
   return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
 }
 
-inline uint8_t MulSlow(uint8_t a, uint8_t b) {
+constexpr uint8_t MulSlow(uint8_t a, uint8_t b) {
   uint8_t result = 0;
   while (b) {
     if (b & 1) result ^= a;
@@ -58,8 +57,8 @@ inline uint8_t MulSlow(uint8_t a, uint8_t b) {
 // Precomputed GF(2^8) multiplication tables for the InvMixColumns
 // constants; the bit-loop variant costs ~8x in decryption throughput.
 struct InvMixTables {
-  uint8_t by9[256], by11[256], by13[256], by14[256];
-  InvMixTables() {
+  uint8_t by9[256] = {}, by11[256] = {}, by13[256] = {}, by14[256] = {};
+  constexpr InvMixTables() {
     for (int i = 0; i < 256; ++i) {
       by9[i] = MulSlow(static_cast<uint8_t>(i), 9);
       by11[i] = MulSlow(static_cast<uint8_t>(i), 11);
@@ -68,7 +67,7 @@ struct InvMixTables {
     }
   }
 };
-const InvMixTables kInvMix;
+constexpr InvMixTables kInvMix;
 
 inline uint32_t SubWord(uint32_t w) {
   return (static_cast<uint32_t>(kSbox[(w >> 24) & 0xff]) << 24) |
@@ -79,9 +78,10 @@ inline uint32_t SubWord(uint32_t w) {
 
 inline uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
-const uint32_t kRcon[11] = {0x00000000, 0x01000000, 0x02000000, 0x04000000,
-                            0x08000000, 0x10000000, 0x20000000, 0x40000000,
-                            0x80000000, 0x1b000000, 0x36000000};
+constexpr uint32_t kRcon[11] = {0x00000000, 0x01000000, 0x02000000,
+                                0x04000000, 0x08000000, 0x10000000,
+                                0x20000000, 0x40000000, 0x80000000,
+                                0x1b000000, 0x36000000};
 
 }  // namespace
 
@@ -93,7 +93,6 @@ Result<Aes> Aes::Create(const Bytes& key) {
   aes.key_bits_ = key.size() * 8;
   aes.rounds_ = static_cast<int>(key.size() / 4) + 6;
   aes.ExpandKey(key);
-  EnsureInvSbox();
   return aes;
 }
 

@@ -46,6 +46,13 @@ class PhaseTimer {
   int64_t start_;
 };
 
+/// The client signer key bindings are validated against: the explicit
+/// client, else the locate cache's. Null when XKMS is not configured.
+xkms::XkmsClient* XkmsClientOf(const PlayerConfig& config) {
+  if (config.xkms != nullptr) return config.xkms;
+  return config.xkms_cache != nullptr ? config.xkms_cache->client() : nullptr;
+}
+
 }  // namespace
 
 DiscPlayback::DiscPlayback() = default;
@@ -106,7 +113,7 @@ void InteractiveApplicationEngine::AbsorbComponentMetrics() {
 Status InteractiveApplicationEngine::VerifyPhase(
     xml::Document* doc, Origin origin,
     const xmldsig::ExternalResolver& resolver, LaunchReport* report,
-    std::vector<std::string>* defer_xkms, std::string_view source_text) {
+    std::vector<std::string>* xkms_keys, std::string_view source_text) {
   PhaseTimer timer(&report->timings.verify_us, config_.tracer,
                    "player.verify", Hist("player.verify_us"));
   xmlenc::Decryptor decryptor(config_.keys);
@@ -160,45 +167,11 @@ Status InteractiveApplicationEngine::VerifyPhase(
       report->verified_references.push_back(uri);
     }
 
-    // Optional XKMS key-binding validation against the trust server (§7).
-    // Only a definite "no such binding" is a verification verdict; a
-    // transport or service breakdown keeps its own code (and retryability)
-    // so callers can tell "key not registered" from "could not ask".
-    // Location goes through the TTL/single-flight cache when one is
-    // configured; the Validate verdict is always fetched live so a
-    // revocation is honored immediately, not a TTL later.
-    xkms::XkmsClient* xkms_client =
-        config_.xkms != nullptr
-            ? config_.xkms
-            : (config_.xkms_cache != nullptr ? config_.xkms_cache->client()
-                                             : nullptr);
-    if (xkms_client != nullptr && !result->key_name.empty() &&
-        defer_xkms != nullptr) {
-      // Staged pipeline: the key-binding round-trips run as their own
-      // (possibly asynchronous) graph node after this stage, in the same
-      // signature order the inline path uses.
-      defer_xkms->push_back(result->key_name);
-    } else if (xkms_client != nullptr && !result->key_name.empty()) {
-      auto binding = config_.xkms_cache != nullptr
-                         ? config_.xkms_cache->Locate(result->key_name)
-                         : xkms_client->Locate(result->key_name);
-      if (!binding.ok()) {
-        if (binding.status().IsNotFound()) {
-          return Status::VerificationFailed("XKMS: signer key '" +
-                                            result->key_name +
-                                            "' is not registered");
-        }
-        return binding.status().WithContext("XKMS key-binding validation");
-      }
-      auto status = xkms_client->Validate(result->key_name, binding->key);
-      if (!status.ok()) {
-        return status.status().WithContext("XKMS key-binding validation");
-      }
-      if (status.value() != xkms::KeyStatus::kValid) {
-        return Status::VerificationFailed(
-            "XKMS: signer key binding is not Valid (revoked?)");
-      }
-      report->xkms_validated = true;
+    // Optional XKMS key-binding validation against the trust server (§7)
+    // runs as its own launch stage after this one (ValidateDeferredKeys),
+    // in signature order.
+    if (XkmsClientOf(config_) != nullptr && !result->key_name.empty()) {
+      xkms_keys->push_back(result->key_name);
     }
   }
   return Status::OK();
@@ -311,23 +284,17 @@ Status InteractiveApplicationEngine::ScriptPhase(
   return Status::OK();
 }
 
-/// The launch pipeline of BeginSession, cut into the stages the PlayDiscs
-/// task graph schedules independently:
-///   security — parse, signature verification (XKMS deferred), decrypt;
-///   xkms     — deferred signer key-binding validation, asynchronous when
-///              the client carries an async transport (the graph node's
-///              worker is released while requests are in flight);
+/// The launch pipeline, cut into three task-graph stages:
+///   security — parse, signature verification, decrypt;
+///   xkms     — signer key-binding validation, asynchronous when the client
+///              carries an async transport (the graph node's worker is
+///              released while requests are in flight);
 ///   execute  — cluster parsing, wrapping defense, rights, policy, markup
 ///              and script execution, engine-serialized because
 ///              LocalStorage and the script host API are unsynchronized.
-/// BeginSession runs security (XKMS inline) then execute back to back on
-/// the calling thread — the serial pipeline *is* the staged pipeline with
-/// no graph in between, so the two cannot drift.
-///
-/// Stage reordering is observable only in one corner: a document with
-/// several signatures where an early signature's XKMS validation fails
-/// *and* a later stage also fails reports the stage error, where the
-/// inline path reported XKMS first (see DESIGN.md §11).
+/// BeginSession runs the chain inline and PlayDisc/PlayDiscs schedule it
+/// beside the AV tracks, so every launch takes the same stages in the same
+/// order and reports the same first failure, with or without a pool.
 class InteractiveApplicationEngine::StagedLaunch {
  public:
   StagedLaunch(InteractiveApplicationEngine* engine, std::string cluster_xml,
@@ -343,16 +310,39 @@ class InteractiveApplicationEngine::StagedLaunch {
     }
   }
 
-  /// Graph mode: stage anchor spans parent onto the disc span so worker-side
-  /// phase spans stay in the disc's trace tree. Left empty in the serial
-  /// path, whose phases nest under the caller's launch span as before.
+  /// Disc playback: stage anchor spans parent onto the disc span so
+  /// worker-side phase spans stay in the disc's trace tree. Left empty by
+  /// BeginSession, whose phases nest under its launch span on the caller.
   void set_stage_parent(const obs::SpanContext& ctx) { stage_parent_ = ctx; }
 
-  bool has_deferred_xkms() const { return !pending_xkms_.empty(); }
+  /// Node ids of one launch's security -> xkms -> execute chain.
+  struct Chain {
+    taskgraph::NodeId security = taskgraph::kNoNode;
+    taskgraph::NodeId xkms = taskgraph::kNoNode;
+    taskgraph::NodeId execute = taskgraph::kNoNode;
+  };
 
-  /// Parse -> verify signatures -> decrypt. With `defer_xkms`, signer key
-  /// names queue up for ValidateDeferredKeys instead of blocking here.
-  Status RunSecurity(bool defer_xkms) {
+  /// Adds the three stages of `staged` to `graph`, each depending on the one
+  /// before, with node labels prefixed by `tag`.
+  static Chain AddChain(const std::shared_ptr<StagedLaunch>& staged,
+                        const std::string& tag, taskgraph::TaskGraph* graph) {
+    Chain chain;
+    chain.security = graph->AddNode(tag + ".security",
+                                    [staged] { return staged->RunSecurity(); });
+    chain.xkms = graph->AddAsyncNode(
+        tag + ".xkms", [staged](taskgraph::CompletionHandle handle) {
+          ValidateDeferredKeys(staged, 0, std::move(handle));
+        });
+    chain.execute = graph->AddNode(tag + ".execute",
+                                   [staged] { return staged->RunExecute(); });
+    graph->AddEdge(chain.security, chain.xkms);
+    graph->AddEdge(chain.xkms, chain.execute);
+    return chain;
+  }
+
+  /// Parse -> verify signatures -> decrypt. Signer key names queue up for
+  /// ValidateDeferredKeys.
+  Status RunSecurity() {
     obs::ScopedSpan stage(stage_parent_, "player.launch.security");
     xml::ParseOptions parse_opts = engine_->config_.parse_limits;
     if (engine_->config_.arena_parse) {
@@ -363,18 +353,18 @@ class InteractiveApplicationEngine::StagedLaunch {
     DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
                              xml::Parse(cluster_xml_, parse_opts));
     doc_.emplace(std::move(doc));
-    DISCSEC_RETURN_IF_ERROR(
-        engine_->VerifyPhase(&*doc_, origin_, resolver_, report_.get(),
-                             defer_xkms ? &pending_xkms_ : nullptr,
-                             cluster_xml_));
+    DISCSEC_RETURN_IF_ERROR(engine_->VerifyPhase(&*doc_, origin_, resolver_,
+                                                 report_.get(), &pending_xkms_,
+                                                 cluster_xml_));
     return engine_->DecryptPhase(&*doc_, report_.get());
   }
 
   /// Validates the deferred key bindings in signature order, completing
-  /// `handle` with the first failure. Uses the client's async call shape,
-  /// which degrades to inline blocking calls when no async transport is
-  /// configured — either way the verdicts and messages are byte-identical
-  /// to the inline VerifyPhase block.
+  /// `handle` with the first failure. Only a definite "no such binding" is
+  /// a verification verdict; a transport or service breakdown keeps its own
+  /// code (and retryability) so callers can tell "key not registered" from
+  /// "could not ask". Uses the client's async call shape, which degrades to
+  /// inline blocking calls when no async transport is configured.
   static void ValidateDeferredKeys(std::shared_ptr<StagedLaunch> self,
                                    size_t index,
                                    taskgraph::CompletionHandle handle) {
@@ -384,11 +374,7 @@ class InteractiveApplicationEngine::StagedLaunch {
       return;
     }
     const std::string name = self->pending_xkms_[index];
-    xkms::XkmsClient* client =
-        config.xkms != nullptr
-            ? config.xkms
-            : (config.xkms_cache != nullptr ? config.xkms_cache->client()
-                                            : nullptr);
+    xkms::XkmsClient* client = XkmsClientOf(config);
     auto on_binding = [self, index, handle, client,
                        name](Result<xkms::KeyBinding> binding) {
       if (!binding.ok()) {
@@ -418,8 +404,9 @@ class InteractiveApplicationEngine::StagedLaunch {
             ValidateDeferredKeys(self, index + 1, handle);
           });
     };
-    // Location honors the TTL/single-flight cache exactly like the inline
-    // path; the Validate verdict is always fetched live.
+    // Location goes through the TTL/single-flight cache when one is
+    // configured; the Validate verdict is always fetched live so a
+    // revocation is honored immediately, not a TTL later.
     if (config.xkms_cache != nullptr) {
       on_binding(config.xkms_cache->Locate(name));
     } else {
@@ -571,13 +558,15 @@ InteractiveApplicationEngine::BeginSession(const std::string& cluster_xml,
   obs::ScopedSpan launch_span(config_.tracer, "player.launch");
   launch_span.SetAttr("origin",
                       origin == Origin::kDisc ? "disc" : "network");
-  StagedLaunch staged(this, cluster_xml, origin, std::move(resolver));
-  // 1/2. Authenticate (signature + chain + XKMS inline) and decrypt the
-  //      executable copy in place.
-  DISCSEC_RETURN_IF_ERROR(staged.RunSecurity(/*defer_xkms=*/false));
-  // 3-6. Content hierarchy, wrapping defense, rights, policy, markup, code.
-  DISCSEC_RETURN_IF_ERROR(staged.RunExecute());
-  return staged.TakeSession();
+  auto staged = std::make_shared<StagedLaunch>(this, cluster_xml, origin,
+                                               std::move(resolver));
+  // A lone chain has nothing to overlap, so it runs on the caller and its
+  // phase spans nest under the launch span. The graph's verdict is the
+  // first failing stage.
+  taskgraph::TaskGraph graph;
+  StagedLaunch::AddChain(staged, "launch", &graph);
+  DISCSEC_RETURN_IF_ERROR(graph.Run());
+  return staged->TakeSession();
 }
 
 Result<LaunchReport> InteractiveApplicationEngine::LaunchClusterXml(
@@ -612,71 +601,146 @@ Result<LaunchReport> InteractiveApplicationEngine::LaunchFromDisc(
   return report;
 }
 
-Result<DiscPlayback> InteractiveApplicationEngine::PlayDisc(
-    const disc::DiscImage& image) {
-  if (config_.pool != nullptr) {
-    // Pooled playback is a one-disc batch through the task graph: the
-    // report is identical, and every pooled disc takes the same
-    // scheduling path whether it is inserted alone or with others.
-    std::vector<Result<DiscPlayback>> results = PlayDiscs({&image});
-    return std::move(results.front());
-  }
-  obs::ScopedSpan disc_span(config_.tracer, "player.play_disc");
+/// One disc's build products in a playback graph. Node lambdas hold
+/// pointers into the job (and its `av` vector), so a job is fully built
+/// before its graph runs and never moves afterwards.
+struct InteractiveApplicationEngine::DiscJob {
+  struct AvJob {
+    const disc::Track* track = nullptr;
+    std::optional<Result<PlaybackPlan>> plan;
+  };
+
+  const disc::DiscImage* image = nullptr;
+  /// The "player.play_disc" span; the caller chooses its parent.
+  std::unique_ptr<obs::ScopedSpan> span;
+  Status pre = Status::OK();  ///< terminal pre-stage (cluster) failure
+  std::string cluster_xml;
+  std::optional<xml::Document> doc;
+  std::optional<disc::InteractiveCluster> cluster;
+  const disc::Track* app_track = nullptr;
+  std::shared_ptr<StagedLaunch> staged;
+  StagedLaunch::Chain app;
+  std::vector<AvJob> av;
+};
+
+void InteractiveApplicationEngine::AddDiscNodes(DiscJob* job,
+                                                const std::string& tag,
+                                                taskgraph::TaskGraph* graph) {
   if (config_.metrics != nullptr) {
     config_.metrics->GetCounter("player.discs_inserted")->Add();
   }
   // The cluster document is the disc's table of contents: unreadable or
   // malformed means there is nothing to salvage, degraded mode or not.
-  DISCSEC_ASSIGN_OR_RETURN(std::string cluster_xml,
-                           image.GetText(disc::kClusterPath));
-  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc,
-                           xml::Parse(cluster_xml, config_.parse_limits));
-  DISCSEC_ASSIGN_OR_RETURN(disc::InteractiveCluster cluster,
-                           disc::InteractiveCluster::FromXml(doc));
-  DISCSEC_RETURN_IF_ERROR(cluster.Validate());
+  Result<std::string> cluster_xml = job->image->GetText(disc::kClusterPath);
+  if (!cluster_xml.ok()) {
+    job->pre = cluster_xml.status();
+    return;
+  }
+  job->cluster_xml = std::move(cluster_xml).value();
+  Result<xml::Document> doc =
+      xml::Parse(job->cluster_xml, config_.parse_limits);
+  if (!doc.ok()) {
+    job->pre = doc.status();
+    return;
+  }
+  job->doc.emplace(std::move(doc).value());
+  Result<disc::InteractiveCluster> cluster =
+      disc::InteractiveCluster::FromXml(*job->doc);
+  if (!cluster.ok()) {
+    job->pre = cluster.status();
+    return;
+  }
+  job->cluster.emplace(std::move(cluster).value());
+  Status valid = job->cluster->Validate();
+  if (!valid.ok()) {
+    job->pre = valid;
+    return;
+  }
+  job->app_track = job->cluster->FirstApplicationTrack();
 
-  DiscPlayback playback;
-  const bool degraded_ok = config_.allow_degraded_playback;
-  const disc::Track* app_track = cluster.FirstApplicationTrack();
+  // Node ids follow track order — application chain first, AV tracks in
+  // cluster order — so the lowest-id failure is the first failing track.
+  if (job->app_track != nullptr) {
+    job->staged = std::make_shared<StagedLaunch>(
+        this, job->cluster_xml, Origin::kDisc,
+        disc::MakeDiscResolver(job->image));
+    job->staged->set_stage_parent(job->span->context());
+    job->app = StagedLaunch::AddChain(job->staged, tag + ".app", graph);
+  }
+  for (const disc::Track& track : job->cluster->tracks) {
+    if (track.kind != disc::Track::Kind::kAudioVideo) continue;
+    job->av.push_back(DiscJob::AvJob{&track, std::nullopt});
+  }
   xrml::ExerciseContext rights_context;
   rights_context.principal = config_.device_id;
   rights_context.now = config_.now;
   rights_context.territory = config_.territory;
+  for (DiscJob::AvJob& av : job->av) {
+    DiscJob::AvJob* av_ptr = &av;
+    graph->AddNode(
+        tag + ".av." + av.track->id, [this, job, av_ptr, rights_context] {
+          av_ptr->plan.emplace(BuildPlaybackPlan(*job->cluster, *job->image,
+                                                 av_ptr->track->id,
+                                                 config_.rights,
+                                                 rights_context));
+          return av_ptr->plan->ok() ? Status::OK() : av_ptr->plan->status();
+        });
+  }
+}
 
-  // Serial path: verify tracks one by one, aborting on the first failure
-  // in strict mode (later tracks are then never evaluated — no rights
-  // consumed, no fault points hit — which the chaos suite relies on).
-  if (app_track != nullptr) {
-    obs::ScopedSpan track_span(config_.tracer, "player.track");
-    track_span.SetAttr("track", app_track->id);
+Result<DiscPlayback> InteractiveApplicationEngine::FoldDisc(
+    DiscJob* job, const taskgraph::TaskGraph& graph) {
+  if (!job->pre.ok()) return job->pre;
+  // App chain verdict: the first failing stage in security -> xkms ->
+  // execute order (later stages were cancelled by the poisoned edge).
+  Status app_status = Status::OK();
+  if (job->app_track != nullptr) {
+    app_status = graph.node_status(job->app.security);
+    if (app_status.ok()) app_status = graph.node_status(job->app.xkms);
+    if (app_status.ok()) app_status = graph.node_status(job->app.execute);
+  }
+  // Every evaluated track gets its span (parented on the disc span),
+  // emitted on this thread because graph nodes end on arbitrary workers.
+  // AV tracks that fail-fast cancelled were never evaluated.
+  if (job->app_track != nullptr) {
+    obs::ScopedSpan track_span(job->span->context(), "player.track");
+    track_span.SetAttr("track", job->app_track->id);
     track_span.SetAttr("kind", "application");
-    auto session = BeginSession(cluster_xml, Origin::kDisc,
-                                disc::MakeDiscResolver(&image));
-    track_span.SetAttr("outcome", session.ok() ? "ok" : "failed");
-    if (session.ok()) {
-      playback.app = std::move(session).value();
+    track_span.SetAttr("outcome", app_status.ok() ? "ok" : "failed");
+  }
+  for (const DiscJob::AvJob& av : job->av) {
+    if (!av.plan.has_value()) continue;
+    obs::ScopedSpan track_span(job->span->context(), "player.track");
+    track_span.SetAttr("track", av.track->id);
+    track_span.SetAttr("kind", "av");
+    track_span.SetAttr("outcome", av.plan->ok() ? "ok" : "failed");
+  }
+  // Fold in track order: a strict-mode failure reports the first failing
+  // track; degraded mode quarantines every failure.
+  const bool degraded_ok = config_.allow_degraded_playback;
+  DiscPlayback playback;
+  if (job->app_track != nullptr) {
+    if (app_status.ok()) {
+      playback.app = job->staged->TakeSession();
     } else if (!degraded_ok) {
-      return session.status().WithContext("track '" + app_track->id + "'");
+      return app_status.WithContext("track '" + job->app_track->id + "'");
     } else {
       playback.quarantined.push_back(
-          TrackFailure{app_track->id, "application", session.status()});
+          TrackFailure{job->app_track->id, "application", app_status});
     }
   }
-  for (const disc::Track& track : cluster.tracks) {
-    if (track.kind != disc::Track::Kind::kAudioVideo) continue;
-    obs::ScopedSpan track_span(config_.tracer, "player.track");
-    track_span.SetAttr("track", track.id);
-    track_span.SetAttr("kind", "av");
-    auto plan = BuildPlaybackPlan(cluster, image, track.id, config_.rights,
-                                  rights_context);
-    track_span.SetAttr("outcome", plan.ok() ? "ok" : "failed");
+  for (DiscJob::AvJob& av : job->av) {
+    Result<PlaybackPlan> plan =
+        av.plan.has_value() ? std::move(*av.plan)
+                            : Result<PlaybackPlan>(Status::Unavailable(
+                                  "playback plan node did not run"));
     if (plan.ok()) {
       playback.played.push_back(std::move(plan).value());
     } else if (!degraded_ok) {
-      return plan.status().WithContext("track '" + track.id + "'");
+      return plan.status().WithContext("track '" + av.track->id + "'");
     } else {
       playback.quarantined.push_back(
-          TrackFailure{track.id, "playback", plan.status()});
+          TrackFailure{av.track->id, "playback", plan.status()});
     }
   }
   // A disc where *nothing* survived quarantine is a failed insertion, and
@@ -696,228 +760,59 @@ Result<DiscPlayback> InteractiveApplicationEngine::PlayDisc(
   return playback;
 }
 
+Result<DiscPlayback> InteractiveApplicationEngine::PlayDisc(
+    const disc::DiscImage& image) {
+  DiscJob job;
+  job.image = &image;
+  job.span =
+      std::make_unique<obs::ScopedSpan>(config_.tracer, "player.play_disc");
+  taskgraph::TaskGraph graph;
+  AddDiscNodes(&job, "disc", &graph);
+  taskgraph::TaskGraph::RunOptions run;
+  run.pool = config_.pool;
+  // Strict mode stops at the first failing track: tracks after it are
+  // never evaluated — no rights consumed, no fault points hit. Degraded
+  // mode evaluates every track so the quarantine list is complete.
+  run.fail_fast = !config_.allow_degraded_playback;
+  (void)graph.Run(run);
+  return FoldDisc(&job, graph);
+}
+
 std::vector<Result<DiscPlayback>> InteractiveApplicationEngine::PlayDiscs(
     const std::vector<const disc::DiscImage*>& images) {
   std::vector<Result<DiscPlayback>> results;
   results.reserve(images.size());
   if (config_.pool == nullptr) {
-    // No executor configured: discs play one after another, each through
-    // the serial path.
+    // Without workers there is nothing to overlap: discs play one after
+    // another.
     for (const disc::DiscImage* image : images) {
       results.push_back(PlayDisc(*image));
     }
     return results;
   }
 
-  xrml::ExerciseContext rights_context;
-  rights_context.principal = config_.device_id;
-  rights_context.now = config_.now;
-  rights_context.territory = config_.territory;
-
-  // Per-disc build products. Node lambdas hold pointers into these, so both
-  // vectors are fully sized before any node runs and never reallocate.
-  struct AvJob {
-    const disc::Track* track = nullptr;
-    taskgraph::NodeId node = taskgraph::kNoNode;
-    std::optional<Result<PlaybackPlan>> plan;
-  };
-  struct DiscJob {
-    const disc::DiscImage* image = nullptr;
-    std::unique_ptr<obs::ScopedSpan> span;
-    obs::SpanContext ctx;
-    Status pre = Status::OK();  ///< terminal pre-stage (cluster) failure
-    std::string cluster_xml;
-    std::optional<xml::Document> doc;
-    std::optional<disc::InteractiveCluster> cluster;
-    const disc::Track* app_track = nullptr;
-    std::shared_ptr<StagedLaunch> staged;
-    taskgraph::NodeId app_security = taskgraph::kNoNode;
-    taskgraph::NodeId app_xkms = taskgraph::kNoNode;
-    taskgraph::NodeId app_execute = taskgraph::kNoNode;
-    std::vector<AvJob> av;
-  };
+  // Sized up front: node lambdas point into the jobs.
   std::vector<DiscJob> jobs(images.size());
   taskgraph::TaskGraph graph;
-
   for (size_t i = 0; i < images.size(); ++i) {
-    DiscJob& job = jobs[i];
-    job.image = images[i];
+    jobs[i].image = images[i];
     // Explicit empty parent: each disc span is a root even while earlier
     // discs' spans are still open on this thread.
-    job.span = std::make_unique<obs::ScopedSpan>(
+    jobs[i].span = std::make_unique<obs::ScopedSpan>(
         obs::SpanContext{config_.tracer, 0}, "player.play_disc");
-    job.ctx = job.span->context();
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("player.discs_inserted")->Add();
-    }
-    // The cluster document is the disc's table of contents: unreadable or
-    // malformed means there is nothing to salvage, degraded mode or not.
-    Result<std::string> cluster_xml = job.image->GetText(disc::kClusterPath);
-    if (!cluster_xml.ok()) {
-      job.pre = cluster_xml.status();
-      continue;
-    }
-    job.cluster_xml = std::move(cluster_xml).value();
-    Result<xml::Document> doc =
-        xml::Parse(job.cluster_xml, config_.parse_limits);
-    if (!doc.ok()) {
-      job.pre = doc.status();
-      continue;
-    }
-    job.doc.emplace(std::move(doc).value());
-    Result<disc::InteractiveCluster> cluster =
-        disc::InteractiveCluster::FromXml(*job.doc);
-    if (!cluster.ok()) {
-      job.pre = cluster.status();
-      continue;
-    }
-    job.cluster.emplace(std::move(cluster).value());
-    Status valid = job.cluster->Validate();
-    if (!valid.ok()) {
-      job.pre = valid;
-      continue;
-    }
-    job.app_track = job.cluster->FirstApplicationTrack();
-
-    const std::string tag = "disc#" + std::to_string(i);
-    if (job.app_track != nullptr) {
-      job.staged = std::make_shared<StagedLaunch>(
-          this, job.cluster_xml, Origin::kDisc,
-          disc::MakeDiscResolver(job.image));
-      job.staged->set_stage_parent(job.ctx);
-      std::shared_ptr<StagedLaunch> staged = job.staged;
-      job.app_security = graph.AddNode(tag + ".app.security", [staged] {
-        return staged->RunSecurity(/*defer_xkms=*/true);
-      });
-      // The XKMS stage is an async node: with an async transport the pool
-      // worker is released while the trust-service round-trip (and any
-      // retry backoff) parks on the timer wheel.
-      job.app_xkms = graph.AddAsyncNode(
-          tag + ".app.xkms", [staged](taskgraph::CompletionHandle handle) {
-            StagedLaunch::ValidateDeferredKeys(staged, 0, std::move(handle));
-          });
-      job.app_execute = graph.AddNode(tag + ".app.execute", [staged] {
-        return staged->RunExecute();
-      });
-      graph.AddEdge(job.app_security, job.app_xkms);
-      graph.AddEdge(job.app_xkms, job.app_execute);
-    }
-    for (const disc::Track& track : job.cluster->tracks) {
-      if (track.kind != disc::Track::Kind::kAudioVideo) continue;
-      job.av.push_back(AvJob{&track, taskgraph::kNoNode, std::nullopt});
-    }
-    for (AvJob& av : job.av) {
-      DiscJob* job_ptr = &job;
-      AvJob* av_ptr = &av;
-      av.node = graph.AddNode(
-          tag + ".av." + av.track->id,
-          [this, job_ptr, av_ptr, rights_context] {
-            av_ptr->plan.emplace(
-                BuildPlaybackPlan(*job_ptr->cluster, *job_ptr->image,
-                                  av_ptr->track->id, config_.rights,
-                                  rights_context));
-            return av_ptr->plan->ok() ? Status::OK() : av_ptr->plan->status();
-          });
-    }
+    AddDiscNodes(&jobs[i], "disc#" + std::to_string(i), &graph);
   }
-
   taskgraph::TaskGraph::RunOptions run;
   run.pool = config_.pool;
-  // Per-disc verdicts are folded below: one disc's failure must not cancel
-  // another disc's tracks, and in-disc app chains already stop through
-  // dependency poisoning — so global fail-fast stays off. This matches the
-  // previous pooled behavior, where every track ran before folding.
+  // One disc's failure must not cancel another disc's tracks, and in-disc
+  // app chains already stop through dependency poisoning — so global
+  // fail-fast stays off and each disc's verdict is folded on its own.
   run.fail_fast = false;
   (void)graph.Run(run);
-
-  const bool degraded_ok = config_.allow_degraded_playback;
-  for (size_t i = 0; i < images.size(); ++i) {
-    DiscJob& job = jobs[i];
-    if (!job.pre.ok()) {
-      results.emplace_back(job.pre);
-      continue;
-    }
-    // App chain verdict: the first failing stage in security -> xkms ->
-    // execute order (later stages were cancelled by the poisoned edge).
-    Status app_status = Status::OK();
-    if (job.app_track != nullptr) {
-      app_status = graph.node_status(job.app_security);
-      if (app_status.ok()) app_status = graph.node_status(job.app_xkms);
-      if (app_status.ok()) app_status = graph.node_status(job.app_execute);
-    }
-    // Every evaluated track gets its span (parented on the disc span),
-    // emitted on this thread because graph nodes end on arbitrary workers.
-    if (job.app_track != nullptr) {
-      obs::ScopedSpan track_span(job.ctx, "player.track");
-      track_span.SetAttr("track", job.app_track->id);
-      track_span.SetAttr("kind", "application");
-      track_span.SetAttr("outcome", app_status.ok() ? "ok" : "failed");
-    }
-    for (AvJob& av : job.av) {
-      obs::ScopedSpan track_span(job.ctx, "player.track");
-      track_span.SetAttr("track", av.track->id);
-      track_span.SetAttr("kind", "av");
-      track_span.SetAttr(
-          "outcome", av.plan.has_value() && av.plan->ok() ? "ok" : "failed");
-    }
-    // Fold in deterministic order — application first, AV tracks in
-    // cluster order — with the serial path's exact verdicts and contexts.
-    DiscPlayback playback;
-    std::optional<Status> strict;
-    if (job.app_track != nullptr) {
-      if (app_status.ok()) {
-        playback.app = job.staged->TakeSession();
-      } else if (!degraded_ok) {
-        strict = app_status.WithContext("track '" + job.app_track->id + "'");
-      } else {
-        playback.quarantined.push_back(
-            TrackFailure{job.app_track->id, "application", app_status});
-      }
-    }
-    if (!strict.has_value()) {
-      for (AvJob& av : job.av) {
-        Result<PlaybackPlan> plan =
-            av.plan.has_value()
-                ? std::move(*av.plan)
-                : Result<PlaybackPlan>(Status::Unavailable(
-                      "playback plan node did not run"));
-        if (plan.ok()) {
-          playback.played.push_back(std::move(plan).value());
-        } else if (!degraded_ok) {
-          strict = plan.status().WithContext("track '" + av.track->id + "'");
-          break;
-        } else {
-          playback.quarantined.push_back(
-              TrackFailure{av.track->id, "playback", plan.status()});
-        }
-      }
-    }
-    if (strict.has_value()) {
-      results.emplace_back(*strict);
-      continue;
-    }
-    // A disc where *nothing* survived quarantine is a failed insertion,
-    // and the first quarantine reason is the best explanation.
-    if (playback.app == nullptr && playback.played.empty() &&
-        !playback.quarantined.empty()) {
-      const TrackFailure& first = playback.quarantined.front();
-      results.emplace_back(first.status.WithContext(
-          "track '" + first.track_id + "' (no track played)"));
-      continue;
-    }
-    if (config_.metrics != nullptr) {
-      config_.metrics->GetCounter("player.tracks_played")
-          ->Add(playback.played.size() + (playback.app != nullptr ? 1 : 0));
-      config_.metrics->GetCounter("player.tracks_quarantined")
-          ->Add(playback.quarantined.size());
-    }
-    results.push_back(std::move(playback));
-  }
+  for (DiscJob& job : jobs) results.push_back(FoldDisc(&job, graph));
   // ScopedSpan installation is LIFO per thread, so the disc spans end in
   // reverse construction order to keep the thread-local stack consistent.
-  for (size_t i = jobs.size(); i > 0; --i) {
-    if (jobs[i - 1].span != nullptr) jobs[i - 1].span->End();
-  }
+  for (size_t i = jobs.size(); i > 0; --i) jobs[i - 1].span->End();
   return results;
 }
 

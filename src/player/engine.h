@@ -30,6 +30,10 @@
 #include "xrml/rights_manager.h"
 
 namespace discsec {
+namespace taskgraph {
+class TaskGraph;
+}  // namespace taskgraph
+
 namespace player {
 
 class ApplicationSession;
@@ -117,13 +121,12 @@ struct PlayerConfig {
   /// callers wiring the same instance into disc images and downloaders).
   /// Null means the process-global injector.
   fault::FaultInjector* fault = nullptr;
-  /// Parallel verification engine: when set, PlayDisc dispatches per-track
-  /// security/playback work as a dependency graph (taskgraph::TaskGraph)
-  /// onto this pool, signature references digest on their own tasks, and
-  /// PlayDiscs() pipelines many discs through the one pool. Null (the
-  /// default) keeps every path serial. Results are identical either way:
+  /// Executor for the engine's task graphs: PlayDisc's per-track graph,
+  /// the verifier's per-reference graph, and PlayDiscs' cross-disc graph
+  /// run their nodes on this pool. Null (the default) runs the same graphs
+  /// on the caller, in node order. Results are identical either way:
   /// reports keep deterministic (cluster) ordering, and strict-mode
-  /// failure still surfaces the first failing track in track order.
+  /// failure surfaces the first failing track in track order.
   ThreadPool* pool = nullptr;
   /// Content-addressed digest cache shared across verifications (and, when
   /// the caller wires it into several engines, across players). Null
@@ -248,7 +251,8 @@ class InteractiveApplicationEngine {
   /// workers (cross-disc pipelining). Element i of the result is exactly
   /// what PlayDisc(*images[i]) reports — per-disc verdicts, quarantine
   /// lists and status messages are unchanged; only the scheduling is
-  /// shared. With a null pool this degrades to serial PlayDisc calls.
+  /// shared. With a null pool the discs play one after another through
+  /// PlayDisc.
   std::vector<Result<DiscPlayback>> PlayDiscs(
       const std::vector<const disc::DiscImage*>& images);
 
@@ -286,12 +290,26 @@ class InteractiveApplicationEngine {
   void AbsorbComponentMetrics();
 
  private:
-  /// The launch pipeline split into graph-schedulable stages (defined in
-  /// engine.cc): security (parse/verify/decrypt), deferred XKMS key-binding
+  /// The launch pipeline as a three-stage task-graph chain (defined in
+  /// engine.cc): security (parse/verify/decrypt), XKMS key-binding
   /// validation, and execute (cluster/coverage/rights/policy/markup/
-  /// script). BeginSession runs the stages inline — the serial pipeline is
-  /// the staged pipeline with no graph in between.
+  /// script). BeginSession runs the chain inline; disc playback schedules
+  /// it beside the AV tracks.
   class StagedLaunch;
+  /// One disc's build products in a playback graph (defined in engine.cc).
+  struct DiscJob;
+
+  /// Disc pre-stage and node builder: reads and parses the cluster
+  /// document (a failure lands in the job and adds no nodes), then adds the
+  /// application track's launch chain and one playback-plan node per AV
+  /// track to `graph`, in track order. `job->image` and `job->span` are set
+  /// by the caller.
+  void AddDiscNodes(DiscJob* job, const std::string& tag,
+                    taskgraph::TaskGraph* graph);
+  /// Folds the run graph's verdicts for one disc into what PlayDisc
+  /// reports: strict or degraded verdict, track spans and counters.
+  Result<DiscPlayback> FoldDisc(DiscJob* job,
+                                const taskgraph::TaskGraph& graph);
 
   /// Named phase histogram from PlayerConfig::metrics; null when metrics
   /// are off (ScopedLatency treats null as disabled).
@@ -304,16 +322,14 @@ class InteractiveApplicationEngine {
       std::unique_ptr<access::PolicyEnforcementPoint> pep,
       std::unique_ptr<script::Interpreter> interpreter);
 
-  /// When `defer_xkms` is non-null, signer key names that would have been
-  /// validated against XKMS inline are appended there (in signature order)
-  /// for a later pipeline stage instead.
+  /// Signer key names to validate against XKMS are appended to
+  /// `xkms_keys` (in signature order) for the launch's XKMS stage.
   /// `source_text` (when streaming_verify is on) is the exact text `doc`
   /// was parsed from, enabling the verifier's streaming fast path.
   Status VerifyPhase(xml::Document* doc, Origin origin,
                      const xmldsig::ExternalResolver& resolver,
-                     LaunchReport* report,
-                     std::vector<std::string>* defer_xkms = nullptr,
-                     std::string_view source_text = {});
+                     LaunchReport* report, std::vector<std::string>* xkms_keys,
+                     std::string_view source_text);
   Status DecryptPhase(xml::Document* doc, LaunchReport* report);
   Status PolicyPhase(const disc::ApplicationManifest& manifest,
                      LaunchReport* report,

@@ -1,5 +1,6 @@
 #include "script/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -105,8 +106,29 @@ void InstallBuiltins(Environment* globals) {
 }  // namespace
 
 Interpreter::Interpreter(Limits limits)
-    : limits_(limits), globals_(std::make_shared<Environment>()) {
+    : limits_(limits), globals_(NewEnvironment(nullptr)) {
   InstallBuiltins(globals_.get());
+}
+
+Interpreter::~Interpreter() {
+  for (const std::weak_ptr<Environment>& weak : environments_) {
+    if (std::shared_ptr<Environment> env = weak.lock()) env->Clear();
+  }
+}
+
+std::shared_ptr<Environment> Interpreter::NewEnvironment(
+    std::shared_ptr<Environment> parent) {
+  if (environments_.size() >= prune_at_) {
+    std::erase_if(environments_, [](const std::weak_ptr<Environment>& weak) {
+      return weak.expired();
+    });
+    prune_at_ = std::max<size_t>(64, 2 * environments_.size());
+  }
+  // A finished call's scope is destroyed at once; only its storage block
+  // waits for the next prune.
+  auto env = std::make_shared<Environment>(std::move(parent));
+  environments_.push_back(env);
+  return env;
 }
 
 void Interpreter::DefineGlobal(const std::string& name, Value value) {
@@ -185,7 +207,7 @@ Result<Value> Interpreter::CallValue(const Value& callee,
     return Status::ResourceExhausted("script exceeded call depth");
   }
   const Value::Closure& closure = callee.AsClosure();
-  auto env = std::make_shared<Environment>(closure.env);
+  std::shared_ptr<Environment> env = NewEnvironment(closure.env);
   const FunctionDef& def = *closure.def;
   for (size_t i = 0; i < def.params.size(); ++i) {
     env->Define(def.params[i], i < args.size() ? args[i] : Value());
@@ -577,7 +599,7 @@ Result<Value> Interpreter::EvalNode(const Node& node,
       return Value();
     }
     case NodeType::kFor: {
-      auto loop_env = std::make_shared<Environment>(env);
+      std::shared_ptr<Environment> loop_env = NewEnvironment(env);
       if (node.children[0]->type != NodeType::kUndefinedLiteral) {
         DISCSEC_ASSIGN_OR_RETURN(Value ignored,
                                  EvalNode(*node.children[0], loop_env, flow));

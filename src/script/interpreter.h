@@ -32,6 +32,13 @@ struct Limits {
 class Interpreter {
  public:
   explicit Interpreter(Limits limits = Limits());
+  /// Empties every scope this interpreter created that is still alive, so
+  /// closures and their scopes are freed even when they reference each
+  /// other.
+  ~Interpreter();
+
+  Interpreter(const Interpreter&) = delete;
+  Interpreter& operator=(const Interpreter&) = delete;
 
   /// Defines a global (host object, constant, native function).
   void DefineGlobal(const std::string& name, Value value);
@@ -70,11 +77,19 @@ class Interpreter {
   Status AssignTo(const Node& target, Value value,
                   std::shared_ptr<Environment> env, Flow* flow);
   Status Tick(const Node& node);
+  /// Creates a scope and records it for teardown.
+  std::shared_ptr<Environment> NewEnvironment(
+      std::shared_ptr<Environment> parent);
   const FunctionDef* FindFunction(size_t index) const;
 
   Limits limits_;
   uint64_t steps_used_ = 0;
   size_t call_depth_ = 0;
+  /// Every scope created so far (expired entries are pruned as the list
+  /// grows), emptied by the destructor. Declared before globals_, which is
+  /// the first entry.
+  std::vector<std::weak_ptr<Environment>> environments_;
+  size_t prune_at_ = 64;
   std::shared_ptr<Environment> globals_;
   std::vector<Program> programs_;  ///< all sources run, kept alive
   /// Interpreter-wide function table: each parsed program's functions are

@@ -161,6 +161,15 @@ class Environment {
     return nullptr;
   }
 
+  /// Drops every binding of this scope (the parent link stays). A closure
+  /// holds its defining scope and the scope may hold the closure, so
+  /// function values form shared_ptr cycles; the interpreter empties its
+  /// scopes on teardown to break them.
+  void Clear() {
+    std::map<std::string, Value> doomed;
+    doomed.swap(variables_);
+  }
+
   /// Assigns to the nearest binding, or defines globally when unbound
   /// (ECMAScript 3 non-strict behaviour).
   void Assign(const std::string& name, Value value) {

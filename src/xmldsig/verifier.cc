@@ -6,7 +6,6 @@
 
 #include "common/base64.h"
 #include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "crypto/algorithms.h"
 #include "crypto/digest.h"
 #include "crypto/digest_cache.h"
@@ -437,9 +436,8 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
   // Each Reference canonicalizes + digests independently: same-document
   // targets clone the source document into a private working copy and the
   // shared context is read-only, so references fan out over the pool and
-  // join before the SignedInfo signature check below. With a null pool
-  // this degrades to the serial loop. The first failing reference in
-  // document order decides the error either way, so parallel and serial
+  // join before the SignedInfo signature check below. The first failing
+  // reference in document order decides the error, so pooled and inline
   // verification are observably identical.
   struct RefOutcome {
     Status status;
@@ -533,32 +531,26 @@ Result<VerifyInfo> Verifier::VerifyWithIndex(const xml::Document* doc,
     out.verified.same_document = resolution.same_document;
     return out;
   };
-  if (options.pool == nullptr) {
-    // Serial path, untouched: references digest in document order.
-    for (size_t i = 0; i < refs.size(); ++i) {
-      outcomes[i] = process_reference(*refs[i]);
-    }
-  } else {
-    // Each Reference is an independent task-graph node. Fail-fast cancels
-    // only nodes *after* the lowest failing reference, so every reference
-    // the serial sweep would have reached still runs and the document-order
-    // fold below reproduces the serial verdict byte-for-byte.
-    taskgraph::TaskGraph graph;
-    for (size_t i = 0; i < refs.size(); ++i) {
-      graph.AddNode("xmldsig.reference#" + std::to_string(i),
-                    [&outcomes, &process_reference, &refs, i]() -> Status {
-                      outcomes[i] = process_reference(*refs[i]);
-                      return outcomes[i].status;
-                    });
-    }
-    taskgraph::TaskGraph::RunOptions run;
-    run.pool = options.pool;
-    run.fail_fast = true;
-    // The verdict is re-derived from `outcomes` in document order below;
-    // Run's return (the lowest failing node) is the same status by
-    // construction.
-    (void)graph.Run(run);
+  // Each Reference is an independent task-graph node. Fail-fast cancels
+  // only nodes *after* the lowest failing reference, so every reference an
+  // in-order sweep would have reached still runs and the document-order fold
+  // below reproduces its verdict; with a null pool the nodes run on the
+  // caller in document order and stop at the first failure.
+  taskgraph::TaskGraph graph;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    graph.AddNode("xmldsig.reference#" + std::to_string(i),
+                  [&outcomes, &process_reference, &refs, i]() -> Status {
+                    outcomes[i] = process_reference(*refs[i]);
+                    return outcomes[i].status;
+                  });
   }
+  taskgraph::TaskGraph::RunOptions run;
+  run.pool = options.pool;
+  run.fail_fast = true;
+  // The verdict is re-derived from `outcomes` in document order below;
+  // Run's return (the lowest failing node) is the same status by
+  // construction.
+  (void)graph.Run(run);
   for (RefOutcome& outcome : outcomes) {
     if (!outcome.status.ok()) return outcome.status;
     info.reference_uris.push_back(outcome.verified.uri);

@@ -66,11 +66,12 @@ struct VerifyOptions {
   /// reference at a decoy element outside the schema the player consumes.
   std::vector<std::string> allowed_reference_roots;
 
-  /// When set, each <Reference> canonicalizes and digests on its own pool
-  /// task (the SignedInfo signature check still happens after every
-  /// reference joined). Null keeps the serial path; results are identical
-  /// either way — on multi-reference signatures the first failing
-  /// reference in document order still decides the error.
+  /// Each <Reference> canonicalizes and digests as its own task-graph node
+  /// (the SignedInfo signature check happens after every reference
+  /// joined). When set, the nodes run on this pool; null runs the same
+  /// graph on the caller in document order. Results are identical either
+  /// way — the first failing reference in document order decides the
+  /// error, and references after it that have not started never do.
   ThreadPool* pool = nullptr;
 
   /// When set, reference digests are served through this content-addressed

@@ -17,6 +17,10 @@ using testing_world::World;
 class AuthoringFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() { world_ = new World(); }
+  static void TearDownTestSuite() {
+    delete world_;
+    world_ = nullptr;
+  }
 
   xmldsig::VerifyOptions Options() {
     static pki::CertStore store = [] {

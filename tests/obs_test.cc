@@ -5,6 +5,7 @@
 // this binary).
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,7 +14,7 @@
 
 #include "authoring/author.h"
 #include "bench/alloc_tracker.h"
-#include "common/thread_pool.h"
+#include "common/task_graph.h"
 #include "crypto/digest_cache.h"
 #include "obs/bridge.h"
 #include "obs/json.h"
@@ -79,12 +80,19 @@ TEST(TracerTest, ExplicitParentNestsCorrectlyAcrossThreadPoolWorkers) {
     root_id = root.context().span_id;
     const obs::SpanContext ctx = root.context();
     ThreadPool pool(4);
-    ParallelFor(&pool, 32, [&](size_t i) {
-      obs::ScopedSpan child(ctx, "child");
-      child.SetAttr("index", static_cast<uint64_t>(i));
-      // Implicit nesting must follow the explicit parent on this worker.
-      obs::ScopedSpan grandchild(&tracer, "grandchild");
-    });
+    taskgraph::TaskGraph graph;
+    for (size_t i = 0; i < 32; ++i) {
+      graph.AddNode("child", [&ctx, &tracer, i] {
+        obs::ScopedSpan child(ctx, "child");
+        child.SetAttr("index", static_cast<uint64_t>(i));
+        // Implicit nesting must follow the explicit parent on this worker.
+        obs::ScopedSpan grandchild(&tracer, "grandchild");
+        return Status::OK();
+      });
+    }
+    taskgraph::TaskGraph::RunOptions run;
+    run.pool = &pool;
+    ASSERT_TRUE(graph.Run(run).ok());
   }
   spans = tracer.Snapshot();
   std::set<uint64_t> child_ids;
@@ -393,6 +401,57 @@ TEST_F(ObsPipelineTest, PlayDiscSpansNestCorrectlyAcrossPoolWorkers) {
       snapshot.histogram("player.verify_us");
   ASSERT_NE(verify_us, nullptr);
   EXPECT_GE(verify_us->count, 1u);
+}
+
+// Span names from the root down to each span, one path per span, sorted:
+// the shape of the trace tree independent of ids, threads and timing.
+std::vector<std::string> SpanTreePaths(
+    const std::vector<obs::SpanRecord>& spans) {
+  std::map<uint64_t, const obs::SpanRecord*> by_id;
+  for (const obs::SpanRecord& span : spans) by_id[span.id] = &span;
+  std::vector<std::string> paths;
+  for (const obs::SpanRecord& span : spans) {
+    std::string path = span.name;
+    for (auto it = by_id.find(span.parent_id); it != by_id.end();
+         it = by_id.find(it->second->parent_id)) {
+      path = it->second->name + "/" + path;
+    }
+    paths.push_back(path);
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TEST_F(ObsPipelineTest, PlayDiscSpanTreeIsTheSameWithAndWithoutPool) {
+  authoring::Author author = world_->MakeAuthor();
+  disc::InteractiveCluster cluster = world_->DemoCluster();
+  auto doc = author.BuildSigned(cluster, authoring::SignLevel::kCluster);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  auto image = author.Master(cluster, doc.value());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+
+  ThreadPool pool(4);
+  std::vector<std::vector<std::string>> trees;
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    obs::Tracer tracer;
+    player::PlayerConfig config = world_->MakePlayerConfig();
+    config.pool = executor;
+    config.tracer = &tracer;
+    player::InteractiveApplicationEngine engine(std::move(config));
+    ASSERT_TRUE(engine.PlayDisc(image.value()).ok());
+
+    std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+    auto disc_spans = SpansNamed(spans, "player.play_disc");
+    ASSERT_EQ(disc_spans.size(), 1u);
+    EXPECT_EQ(disc_spans[0].parent_id, 0u);
+    auto track_spans = SpansNamed(spans, "player.track");
+    ASSERT_EQ(track_spans.size(), 2u);  // movie + app
+    for (const obs::SpanRecord& span : track_spans) {
+      EXPECT_EQ(span.parent_id, disc_spans[0].id);
+    }
+    trees.push_back(SpanTreePaths(spans));
+  }
+  EXPECT_EQ(trees[0], trees[1]);
 }
 
 }  // namespace

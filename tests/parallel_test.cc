@@ -1,7 +1,7 @@
-// Concurrency tests for the parallel verification engine: the ThreadPool
-// substrate, the content-addressed DigestCache, the single-flight XKMS
-// LocateCache, parallel PlayDisc equivalence with the serial path, and the
-// thread-safety retrofits (FaultInjector, retrying transport, GlobalRng).
+// Concurrency tests for the parallel verification engine: the
+// content-addressed DigestCache, the single-flight XKMS LocateCache,
+// pooled PlayDisc equivalence with the inline path, and the thread-safety
+// retrofits (FaultInjector, retrying transport, GlobalRng).
 // Every assertion here also runs under the ThreadSanitizer CI stage, which
 // is what actually proves the absence of data races.
 
@@ -54,56 +54,6 @@ Bytes DirectSha256(const Bytes& data) {
   crypto::Sha256 digest;
   digest.Update(data.data(), data.size());
   return digest.Finalize();
-}
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<int> touched(kN, 0);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, kN, [&](size_t i) {
-    ++touched[i];  // distinct index per task: no two tasks share a slot
-    total.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(total.load(), kN);
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(touched[i], 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, NullPoolRunsSeriallyInOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, ZeroThreadPoolStillCompletes) {
-  ThreadPool pool(0);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, 64, [&](size_t) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // PlayDisc nests: per-track verification fans out per-reference digesting
-  // on the same pool. The caller participates in the drain loop, so the
-  // nested section completes even with every worker busy.
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  ParallelFor(&pool, 8, [&](size_t) {
-    ParallelFor(&pool, 8, [&](size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, ParallelMapPreservesOrder) {
-  ThreadPool pool(3);
-  std::vector<int> items;
-  for (int i = 0; i < 100; ++i) items.push_back(i);
-  std::vector<int> squares =
-      ParallelMap(&pool, items, [](int x) { return x * x; });
-  ASSERT_EQ(squares.size(), items.size());
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(squares[i], i * i);
 }
 
 // --------------------------------------------------------------- DigestCache
@@ -525,6 +475,57 @@ TEST(ParallelPlayDiscTest, StrictModeReportsSameFirstFailure) {
 
   EXPECT_EQ(serial_playback.status().ToString(),
             parallel_playback.status().ToString());
+}
+
+// A disc with two signatures: the first verifies but its signer is unknown
+// to XKMS, the second fails its digest check. Every launch verifies all
+// signatures before the XKMS stage, so a pool-less and a pooled player
+// both report the second signature's failure.
+TEST(UnifiedExecutorTest, XkmsAndLaterFailureReportOneErrorWithOrWithoutPool) {
+  const World& world = SharedWorld();
+  disc::InteractiveCluster cluster = world.DemoCluster();
+  authoring::Author author = world.MakeAuthor();
+  auto doc = author.BuildSigned(cluster, authoring::SignLevel::kTrack);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  // The second signature covers the playlist, outside the first's scope.
+  xml::Element* playlist = doc->FindById("pl-main");
+  ASSERT_NE(playlist, nullptr);
+  auto second =
+      author.signer().SignDetached(&*doc, playlist, "pl-main", doc->root());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  xml::Element* digest =
+      (*second)
+          ->FirstChildElementByLocalName("SignedInfo")
+          ->FirstChildElementByLocalName("Reference")
+          ->FirstChildElementByLocalName("DigestValue");
+  ASSERT_NE(digest, nullptr);
+  digest->SetTextContent("AAAAAAAAAAAAAAAAAAAAAAAAAAA=");
+  disc::DiscImage image = author.Master(cluster, *doc).value();
+
+  xkms::XkmsService service;  // nothing registered: Locate finds nothing
+  xkms::XkmsClient client = xkms::XkmsClient::Direct(&service);
+  player::PlayerConfig inline_config = world.MakePlayerConfig();
+  inline_config.xkms = &client;
+  player::InteractiveApplicationEngine inline_engine(inline_config);
+  auto inline_playback = inline_engine.PlayDisc(image);
+  ASSERT_FALSE(inline_playback.ok());
+
+  ThreadPool pool(4);
+  player::PlayerConfig pooled_config = world.MakePlayerConfig();
+  pooled_config.xkms = &client;
+  pooled_config.pool = &pool;
+  player::InteractiveApplicationEngine pooled_engine(pooled_config);
+  auto pooled_playback = pooled_engine.PlayDisc(image);
+  ASSERT_FALSE(pooled_playback.ok());
+
+  EXPECT_EQ(inline_playback.status().code(), pooled_playback.status().code());
+  EXPECT_EQ(inline_playback.status().message(),
+            pooled_playback.status().message());
+  EXPECT_TRUE(inline_playback.status().IsVerificationFailed());
+  EXPECT_NE(inline_playback.status().message().find(
+                "digest mismatch for reference '#pl-main'"),
+            std::string::npos)
+      << inline_playback.status().ToString();
 }
 
 // ----------------------------------------------- warm caches vs the attacks

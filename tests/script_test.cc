@@ -369,6 +369,31 @@ TEST(HostBindingTest, ClosuresFromEarlierRunSurviveLaterRuns) {
   EXPECT_EQ(second->ToDisplayString(), "second");
 }
 
+TEST(HostBindingTest, DestroyedInterpreterFreesClosureScopes) {
+  // Closures hold their defining scope and the scope holds the closure:
+  // the global scope through `outer`, and outer's call scope through
+  // `self`. Destroying the interpreter must free both.
+  std::weak_ptr<Environment> global_scope;
+  std::weak_ptr<Environment> call_scope;
+  {
+    Interpreter interp;
+    ASSERT_TRUE(interp
+                    .Run("function outer() {"
+                         "  var self = function () { return self; };"
+                         "  return self;"
+                         "}"
+                         "var g = outer();")
+                    .ok());
+    global_scope = interp.GetGlobal("outer").AsClosure().env;
+    call_scope = interp.GetGlobal("g").AsClosure().env;
+    ASSERT_FALSE(global_scope.expired());
+    ASSERT_FALSE(call_scope.expired());
+    ASSERT_NE(global_scope.lock(), call_scope.lock());
+  }
+  EXPECT_TRUE(global_scope.expired());
+  EXPECT_TRUE(call_scope.expired());
+}
+
 TEST(StepAccountingTest, StepsAccumulate) {
   Interpreter interp;
   ASSERT_TRUE(interp.Run("var s = 0; for (var i = 0; i < 100; i++) s += i;")

@@ -104,6 +104,50 @@ TEST(TaskGraphTest, NullPoolRunsSerialTopologicalLowestIdOrder) {
   EXPECT_EQ(log.order(), (std::vector<NodeId>{2, 0, 3, 1}));
 }
 
+TEST(TaskGraphTest, ZeroThreadPoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(0);
+  std::atomic<size_t> total{0};
+  TaskGraph graph;
+  for (int i = 0; i < 64; ++i) {
+    graph.AddNode("n", [&] {
+      total.fetch_add(1);
+      return Status::OK();
+    });
+  }
+  TaskGraph::RunOptions run;
+  run.pool = &pool;
+  ASSERT_TRUE(graph.Run(run).ok());
+  EXPECT_EQ(total.load(), 64u);
+}
+
+TEST(TaskGraphTest, GraphNestedInPoolNodesDoesNotDeadlock) {
+  // PlayDisc nests: a track node verifies a signature whose references run
+  // as an inner graph on the same pool. Each Run's caller drains its own
+  // graph, so the inner graphs complete even with every worker busy
+  // running an outer node.
+  ThreadPool pool(2);
+  std::atomic<size_t> total{0};
+  TaskGraph outer;
+  for (int i = 0; i < 8; ++i) {
+    outer.AddNode("outer", [&] {
+      TaskGraph inner;
+      for (int j = 0; j < 8; ++j) {
+        inner.AddNode("inner", [&] {
+          total.fetch_add(1);
+          return Status::OK();
+        });
+      }
+      TaskGraph::RunOptions run;
+      run.pool = &pool;
+      return inner.Run(run);
+    });
+  }
+  TaskGraph::RunOptions run;
+  run.pool = &pool;
+  ASSERT_TRUE(outer.Run(run).ok());
+  EXPECT_EQ(total.load(), 64u);
+}
+
 TEST(TaskGraphTest, CycleIsRejectedBeforeAnythingRuns) {
   std::atomic<int> ran{0};
   TaskGraph graph;
@@ -311,9 +355,10 @@ TEST(TaskGraphTest, AsyncNodeParksOnTimerWheel) {
 TEST(TaskGraphTest, AbandonedCompletionHandleFailsTheNode) {
   ThreadPool pool(2);
   TaskGraph graph;
-  NodeId abandoned = graph.AddAsyncNode("leaky", [](CompletionHandle handle) {
-    // Drop the handle without completing: the node must fail, not hang.
-  });
+  NodeId abandoned =
+      graph.AddAsyncNode("leaky", [](CompletionHandle /*handle*/) {
+        // Drop the handle without completing: the node must fail, not hang.
+      });
   Status status = graph.Run();
   EXPECT_EQ(status.code(), Status::Code::kUnavailable);
   EXPECT_NE(status.message().find("abandoned"), std::string::npos);

@@ -364,6 +364,56 @@ TEST_F(DsigFixture, MultipleReferences) {
                   .IsVerificationFailed());
 }
 
+TEST_F(DsigFixture, InlineVerifyStopsAtFirstFailingReference) {
+  // Without a pool the reference graph runs on the caller in document
+  // order and stops at the first failure: the references after a bad
+  // digest are never resolved, decrypted or digested.
+  auto doc = xml::Parse("<cluster><track Id=\"t1\">a</track>"
+                        "<track Id=\"t2\">b</track></cluster>")
+                 .value();
+  int resolver_calls = 0;
+  int hook_calls = 0;
+  ReferenceContext ctx;
+  ctx.document = &doc;
+  ctx.resolver = [&](const std::string&) -> Result<Bytes> {
+    ++resolver_calls;
+    return ToBytes("essence");
+  };
+  ctx.decrypt_hook = [&](xml::Document*, xml::Element*,
+                         const std::vector<std::string>&) {
+    ++hook_calls;
+    return Status::OK();
+  };
+  ReferenceSpec first;
+  first.uri = "#t1";
+  first.transforms = {crypto::kAlgC14N};
+  ReferenceSpec external;
+  external.uri = "disc://clips/main.m2ts";
+  ReferenceSpec decrypted;
+  decrypted.uri = "#t2";
+  decrypted.transforms = {crypto::kAlgDecryptionTransform, crypto::kAlgC14N};
+  Signer signer = BareSigner();
+  auto built = signer.BuildUnsigned({first, external, decrypted}, ctx);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto* sig = static_cast<xml::Element*>(
+      doc.root()->AppendChild(std::move(built).value()));
+  ASSERT_TRUE(signer.Finalize(sig).ok());
+  ASSERT_EQ(resolver_calls, 1);
+  ASSERT_EQ(hook_calls, 1);
+
+  doc.FindById("t1")->SetTextContent("tampered");
+  resolver_calls = 0;
+  hook_calls = 0;
+  VerifyOptions options = BareOptions();
+  options.resolver = ctx.resolver;
+  options.decrypt_hook = ctx.decrypt_hook;
+  Status status = Verifier::Verify(&doc, *sig, options).status();
+  EXPECT_TRUE(status.IsVerificationFailed()) << status.ToString();
+  EXPECT_EQ(status.message(), "digest mismatch for reference '#t1'");
+  EXPECT_EQ(resolver_calls, 0);
+  EXPECT_EQ(hook_calls, 0);
+}
+
 // ------------------------------------------------------------- transforms
 
 TEST_F(DsigFixture, Base64TransformDecodesBeforeDigest) {

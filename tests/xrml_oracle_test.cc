@@ -38,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/task_graph.h"
 #include "obs/bridge.h"
 #include "obs/metrics.h"
 #include "pki/cert_store.h"
@@ -685,6 +685,23 @@ TEST(DecisionCache, StatsBridgeIntoMetricsRegistry) {
 // Concurrency properties (the TSan targets)
 // ---------------------------------------------------------------------------
 
+// Runs body(0..n-1) as independent task-graph nodes on `pool`, blocking
+// until all finished.
+void RunConcurrently(ThreadPool* pool, size_t n,
+                     const std::function<void(size_t)>& body) {
+  taskgraph::TaskGraph graph;
+  for (size_t i = 0; i < n; ++i) {
+    graph.AddNode("op#" + std::to_string(i), [&body, i] {
+      body(i);
+      return Status::OK();
+    });
+  }
+  taskgraph::TaskGraph::RunOptions run;
+  run.pool = pool;
+  run.fail_fast = false;
+  ASSERT_TRUE(graph.Run(run).ok());
+}
+
 // Racing exercisers on a nearly-exhausted grant: exactly `limit` of them
 // may win, the recorded counter must equal the limit, and the final state
 // must agree with the oracle evaluated at exhaustion — with the decision
@@ -708,7 +725,7 @@ TEST(XrmlOracleConcurrent, ExhaustionRaceConservesUses) {
 
   ThreadPool pool(8);
   std::atomic<uint32_t> successes{0};
-  ParallelFor(&pool, 64, [&](size_t i) {
+  RunConcurrently(&pool, 64, [&](size_t i) {
     ExerciseContext ctx;
     ctx.principal = "player-" + std::to_string(i % 4);
     ctx.now = kNow;
@@ -742,7 +759,7 @@ TEST(XrmlOracleConcurrent, InstallRaceNeverServesStaleDenial) {
   rm.set_decision_cache(&cache);
 
   ThreadPool pool(8);
-  ParallelFor(&pool, kInstalls * 2, [&](size_t i) {
+  RunConcurrently(&pool, kInstalls * 2, [&](size_t i) {
     if (i < kInstalls) {
       License license;
       license.license_id = "lic-" + std::to_string(i);
@@ -799,7 +816,7 @@ TEST(XrmlOracleConcurrent, ConcurrentStreamsAgreeWithOracleAtQuiescence) {
   }
 
   ThreadPool pool(kThreads);
-  ParallelFor(&pool, kThreads, [&](size_t t) {
+  RunConcurrently(&pool, kThreads, [&](size_t t) {
     ExerciseContext ctx;
     ctx.principal = "player-" + std::to_string(t);
     ctx.now = kNow;

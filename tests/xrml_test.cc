@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "common/thread_pool.h"
+#include "common/task_graph.h"
 #include "tests/test_world.h"
 #include "xml/serializer.h"
 #include "xmldsig/signer.h"
@@ -354,14 +354,21 @@ TEST_F(XrmlFixture, ExerciseLimitExactUnderConcurrency) {
 
   ThreadPool pool(8);
   std::atomic<uint32_t> successes{0};
-  ParallelFor(&pool, 40, [&](size_t i) {
-    ExerciseContext context;
-    context.principal = "racer-" + std::to_string(i % 8);
-    context.now = kNow;
-    if (manager.Exercise(Right::kCopy, "quiz", context).ok()) {
-      successes.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
+  taskgraph::TaskGraph graph;
+  for (size_t i = 0; i < 40; ++i) {
+    graph.AddNode("racer", [&manager, &successes, i] {
+      ExerciseContext context;
+      context.principal = "racer-" + std::to_string(i % 8);
+      context.now = kNow;
+      if (manager.Exercise(Right::kCopy, "quiz", context).ok()) {
+        successes.fetch_add(1, std::memory_order_relaxed);
+      }
+      return Status::OK();
+    });
+  }
+  taskgraph::TaskGraph::RunOptions run;
+  run.pool = &pool;
+  ASSERT_TRUE(graph.Run(run).ok());
   EXPECT_EQ(successes.load(), kLimit);
   EXPECT_EQ(manager.UsesRecorded("lic-race", 0), kLimit);
   EXPECT_FALSE(manager.IsPermitted(Right::kCopy, "quiz", Context()));

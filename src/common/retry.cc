@@ -1,10 +1,13 @@
 #include "common/retry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 
+#include "common/await.h"
+#include "common/random.h"
 #include "common/timer_wheel.h"
 
 namespace discsec {
@@ -28,7 +31,7 @@ Retryer::Retryer(RetryPolicy policy, Clock clock, SleepFn sleep,
     : policy_(policy),
       clock_(clock ? std::move(clock) : Clock(SteadyNowUs)),
       sleep_(sleep ? std::move(sleep) : SleepFn(RealSleepUs)),
-      rng_(jitter_seed) {}
+      jitter_seed_(jitter_seed) {}
 
 int64_t Retryer::BackoffForAttempt(int attempt) const {
   double backoff = static_cast<double>(policy_.initial_backoff_us);
@@ -37,50 +40,120 @@ int64_t Retryer::BackoffForAttempt(int attempt) const {
   return static_cast<int64_t>(backoff);
 }
 
-Status Retryer::Run(const std::function<Status()>& attempt) {
-  const int max_attempts = std::max(policy_.max_attempts, 1);
-  const int64_t start_us = clock_();
+Status Retryer::Run(const std::function<Status()>& attempt) const {
+  return Await<Status>([&](std::function<void(Status)> done) {
+    RetryAsync(
+        *this, /*wheel=*/nullptr,
+        [&attempt](std::function<void(Status)> attempt_done) {
+          attempt_done(attempt());
+        },
+        std::move(done));
+  });
+}
+
+/// One in-flight retry loop. Kept alive by the attempt callbacks and wheel
+/// entries that reference it. Only one attempt is outstanding at a time,
+/// and `handoff` orders the two parties that may take the next step.
+struct Retryer::Loop : std::enable_shared_from_this<Loop> {
+  Loop(Retryer s, TimerWheel* w, RetryAsyncAttempt a,
+       std::function<void(Status)> d)
+      : schedule(std::move(s)),
+        rng(schedule.jitter_seed_),
+        wheel(w),
+        attempt(std::move(a)),
+        done(std::move(d)),
+        max_attempts(std::max(schedule.policy_.max_attempts, 1)),
+        start_us(schedule.clock_()) {}
+
+  const Retryer schedule;
+  Rng rng;
+  TimerWheel* const wheel;
+  const RetryAsyncAttempt attempt;
+  const std::function<void(Status)> done;
+  const int max_attempts;
+  const int64_t start_us;
+  int n = 1;
+  int64_t attempt_start_us = 0;
   Status last;
-  for (int n = 1; n <= max_attempts; ++n) {
-    const int64_t attempt_start_us = clock_();
-    last = attempt();
-    const int64_t now_us = clock_();
-    if (last.ok()) return last;
-    if (!last.IsRetryable()) return last;
-    if (policy_.attempt_deadline_us > 0 &&
-        now_us - attempt_start_us > policy_.attempt_deadline_us) {
-      return Status::DeadlineExceeded(
+  /// Set by the first of {the attempt's completion, the issuing call
+  /// returning}; whichever comes second takes the next step.
+  std::atomic<bool> handoff{false};
+
+  /// Issues attempts until one completes off this stack or the loop ends.
+  void Attempts() {
+    auto self = shared_from_this();
+    do {
+      attempt_start_us = schedule.clock_();
+      handoff.store(false);
+      attempt([self](Status s) {
+        self->last = std::move(s);
+        if (self->handoff.exchange(true) && self->Next()) self->Attempts();
+      });
+    } while (handoff.exchange(true) && Next());
+  }
+
+  /// The verdict ladder, run once per finished attempt. Returns true when
+  /// the caller should issue the next attempt now; false when the verdict
+  /// went to `done` or the next attempt is parked on the wheel.
+  bool Next() {
+    const RetryPolicy& policy = schedule.policy_;
+    const int64_t now_us = schedule.clock_();
+    if (last.ok() || !last.IsRetryable()) return Finish(std::move(last));
+    if (policy.attempt_deadline_us > 0 &&
+        now_us - attempt_start_us > policy.attempt_deadline_us) {
+      return Finish(Status::DeadlineExceeded(
           "attempt " + std::to_string(n) + " ran " +
           std::to_string(now_us - attempt_start_us) +
           "us, past the per-attempt deadline of " +
-          std::to_string(policy_.attempt_deadline_us) + "us: " +
-          last.ToString());
+          std::to_string(policy.attempt_deadline_us) + "us: " +
+          last.ToString()));
     }
-    if (n == max_attempts) break;
+    if (n == max_attempts) {
+      return Finish(last.WithContext("after " + std::to_string(max_attempts) +
+                                     " attempts"));
+    }
     // A server-supplied hint (an overloaded responder's shed status)
     // overrides the exponential step: the responder knows how long its
     // queues need to drain better than our local schedule does. Jitter
     // still applies below, so a whole shed fleet re-spreads instead of
     // returning in lockstep at hint expiry.
-    int64_t backoff_us = last.retry_after_us() > 0 ? last.retry_after_us()
-                                                   : BackoffForAttempt(n);
-    if (policy_.jitter > 0.0) {
-      double fraction = static_cast<double>(rng_.NextUint64() >> 11) *
+    int64_t backoff_us = last.retry_after_us() > 0
+                             ? last.retry_after_us()
+                             : schedule.BackoffForAttempt(n);
+    if (policy.jitter > 0.0) {
+      double fraction = static_cast<double>(rng.NextUint64() >> 11) *
                         0x1.0p-53;  // [0, 1)
       backoff_us -= static_cast<int64_t>(static_cast<double>(backoff_us) *
-                                         policy_.jitter * fraction);
+                                         policy.jitter * fraction);
     }
-    if (policy_.overall_deadline_us > 0 &&
-        (now_us - start_us) + backoff_us >= policy_.overall_deadline_us) {
-      return Status::DeadlineExceeded(
-          "retry budget of " + std::to_string(policy_.overall_deadline_us) +
+    if (policy.overall_deadline_us > 0 &&
+        (now_us - start_us) + backoff_us >= policy.overall_deadline_us) {
+      return Finish(Status::DeadlineExceeded(
+          "retry budget of " + std::to_string(policy.overall_deadline_us) +
           "us exhausted after " + std::to_string(n) + " attempt(s): " +
-          last.ToString());
+          last.ToString()));
     }
-    sleep_(backoff_us);
+    ++n;
+    if (wheel != nullptr) {
+      auto self = shared_from_this();
+      wheel->ScheduleAfter(backoff_us, [self] { self->Attempts(); });
+      return false;
+    }
+    schedule.sleep_(backoff_us);
+    return true;
   }
-  return last.WithContext("after " + std::to_string(max_attempts) +
-                          " attempts");
+
+  bool Finish(Status verdict) {
+    done(std::move(verdict));
+    return false;
+  }
+};
+
+void RetryAsync(Retryer schedule, TimerWheel* wheel, RetryAsyncAttempt attempt,
+                std::function<void(Status)> done) {
+  std::make_shared<Retryer::Loop>(std::move(schedule), wheel,
+                                  std::move(attempt), std::move(done))
+      ->Attempts();
 }
 
 bool CircuitBreaker::Allow(int64_t now_us) {
@@ -118,115 +191,6 @@ CircuitBreaker::State CircuitBreaker::state(int64_t now_us) const {
     return State::kHalfOpen;
   }
   return State::kOpen;
-}
-
-namespace {
-
-/// One in-flight RetryAsync loop. Kept alive by the attempt callbacks and
-/// wheel entries that reference it; state is only touched by the single
-/// outstanding continuation, so no lock is needed.
-struct AsyncRetryLoop : std::enable_shared_from_this<AsyncRetryLoop> {
-  AsyncRetryLoop(const RetryPolicy& p, TimerWheel* w, Retryer::Clock c,
-                 uint64_t jitter_seed, RetryAsyncAttempt a,
-                 std::function<void(Status)> d)
-      : policy(p),
-        wheel(w),
-        clock(c ? std::move(c) : Retryer::Clock(SteadyNowUs)),
-        rng(jitter_seed),
-        attempt(std::move(a)),
-        done(std::move(d)),
-        max_attempts(std::max(p.max_attempts, 1)) {}
-
-  RetryPolicy policy;
-  TimerWheel* wheel;
-  Retryer::Clock clock;
-  Rng rng;
-  RetryAsyncAttempt attempt;
-  std::function<void(Status)> done;
-  const int max_attempts;
-  int n = 1;
-  int64_t start_us = 0;
-  int64_t attempt_start_us = 0;
-
-  // Mirrors Retryer::BackoffForAttempt.
-  int64_t BackoffForAttempt(int a) const {
-    double backoff = static_cast<double>(policy.initial_backoff_us);
-    for (int i = 1; i < a; ++i) backoff *= policy.backoff_multiplier;
-    backoff = std::min(backoff, static_cast<double>(policy.max_backoff_us));
-    return static_cast<int64_t>(backoff);
-  }
-
-  void Start() {
-    start_us = clock();
-    StartAttempt();
-  }
-
-  void StartAttempt() {
-    attempt_start_us = clock();
-    auto self = shared_from_this();
-    attempt([self](Status s) { self->OnAttemptDone(std::move(s)); });
-  }
-
-  // The verdict ladder below is Retryer::Run's loop body, verbatim, so the
-  // sync and async paths cannot drift apart in messages or edge cases.
-  void OnAttemptDone(Status last) {
-    const int64_t now_us = clock();
-    if (last.ok() || !last.IsRetryable()) {
-      done(std::move(last));
-      return;
-    }
-    if (policy.attempt_deadline_us > 0 &&
-        now_us - attempt_start_us > policy.attempt_deadline_us) {
-      done(Status::DeadlineExceeded(
-          "attempt " + std::to_string(n) + " ran " +
-          std::to_string(now_us - attempt_start_us) +
-          "us, past the per-attempt deadline of " +
-          std::to_string(policy.attempt_deadline_us) + "us: " +
-          last.ToString()));
-      return;
-    }
-    if (n == max_attempts) {
-      done(last.WithContext("after " + std::to_string(max_attempts) +
-                            " attempts"));
-      return;
-    }
-    // Same hint-over-schedule rule as Retryer::Run above.
-    int64_t backoff_us = last.retry_after_us() > 0 ? last.retry_after_us()
-                                                   : BackoffForAttempt(n);
-    if (policy.jitter > 0.0) {
-      double fraction = static_cast<double>(rng.NextUint64() >> 11) *
-                        0x1.0p-53;  // [0, 1)
-      backoff_us -= static_cast<int64_t>(static_cast<double>(backoff_us) *
-                                         policy.jitter * fraction);
-    }
-    if (policy.overall_deadline_us > 0 &&
-        (now_us - start_us) + backoff_us >= policy.overall_deadline_us) {
-      done(Status::DeadlineExceeded(
-          "retry budget of " + std::to_string(policy.overall_deadline_us) +
-          "us exhausted after " + std::to_string(n) + " attempt(s): " +
-          last.ToString()));
-      return;
-    }
-    ++n;
-    auto self = shared_from_this();
-    if (wheel != nullptr) {
-      wheel->ScheduleAfter(backoff_us, [self] { self->StartAttempt(); });
-    } else {
-      RealSleepUs(backoff_us);
-      StartAttempt();
-    }
-  }
-};
-
-}  // namespace
-
-void RetryAsync(const RetryPolicy& policy, TimerWheel* wheel,
-                Retryer::Clock clock, uint64_t jitter_seed,
-                RetryAsyncAttempt attempt, std::function<void(Status)> done) {
-  auto loop = std::make_shared<AsyncRetryLoop>(policy, wheel, std::move(clock),
-                                               jitter_seed, std::move(attempt),
-                                               std::move(done));
-  loop->Start();
 }
 
 const char* CircuitStateName(CircuitBreaker::State state) {

@@ -4,7 +4,6 @@
 #include <functional>
 #include <string>
 
-#include "common/random.h"
 #include "common/result.h"
 
 namespace discsec {
@@ -33,9 +32,19 @@ struct RetryPolicy {
   int64_t overall_deadline_us = 0;
 };
 
-/// Executes an operation under a RetryPolicy. Clock and sleep are
-/// injectable so tests drive deadlines with a fake clock and *no real
-/// sleeping*; the defaults use the steady clock and a real sleep.
+class TimerWheel;
+
+/// An attempt that completes through a callback — inline or on another
+/// thread — instead of returning. The attempt must invoke its callback
+/// exactly once.
+using RetryAsyncAttempt =
+    std::function<void(std::function<void(Status)> attempt_done)>;
+
+/// A retry schedule: a RetryPolicy plus its clock, its blocking wait and
+/// its jitter seed. Clock and sleep are injectable so tests drive deadlines
+/// with a fake clock and *no real sleeping*; the defaults use the steady
+/// clock and a real sleep. Every run replays the jitter stream from the
+/// seed, so equal seeds replay equal schedules.
 class Retryer {
  public:
   using Clock = std::function<int64_t()>;        ///< now, microseconds
@@ -47,55 +56,37 @@ class Retryer {
   /// Runs `attempt` until it returns OK, a non-retryable status, or the
   /// policy is exhausted. The returned status keeps the last attempt's
   /// code; exhaustion annotates the message with the attempt count and
-  /// deadline overruns surface as kDeadlineExceeded.
-  Status Run(const std::function<Status()>& attempt);
-
-  /// Result-returning convenience over Run().
-  template <typename T>
-  Result<T> Call(const std::function<Result<T>()>& attempt) {
-    std::optional<T> value;
-    Status status = Run([&]() -> Status {
-      Result<T> result = attempt();
-      if (!result.ok()) return result.status();
-      value = std::move(result).value();
-      return Status::OK();
-    });
-    if (!status.ok()) return status;
-    return std::move(*value);
-  }
+  /// deadline overruns surface as kDeadlineExceeded. A blocking adapter:
+  /// RetryAsync with inline attempts and `sleep` as the wait, reached
+  /// through Await.
+  Status Run(const std::function<Status()>& attempt) const;
 
   /// The backoff before retry number `attempt` (1-based, pre-jitter);
   /// exposed so tests can assert the exponential schedule.
   int64_t BackoffForAttempt(int attempt) const;
 
  private:
+  friend void RetryAsync(Retryer schedule, TimerWheel* wheel,
+                         RetryAsyncAttempt attempt,
+                         std::function<void(Status)> done);
+  struct Loop;
+
   RetryPolicy policy_;
   Clock clock_;
   SleepFn sleep_;
-  Rng rng_;
+  uint64_t jitter_seed_;
 };
 
-class TimerWheel;
-
-/// An attempt that completes through a callback — possibly on another
-/// thread — instead of returning. The attempt must invoke its callback
-/// exactly once.
-using RetryAsyncAttempt =
-    std::function<void(std::function<void(Status)> attempt_done)>;
-
-/// Asynchronous counterpart of Retryer::Run with identical verdicts: same
-/// retryability rules, per-attempt and overall deadline messages, backoff
-/// schedule and jitter stream (equal seeds replay equal schedules). The
-/// difference is mechanical — between attempts the continuation parks on
-/// `wheel` instead of a thread sleeping through the backoff, so a pool
-/// worker is never held hostage by a struggling trust service. `done`
-/// fires exactly once, on whatever thread finished the last attempt (or
-/// the wheel thread when the verdict was reached during a backoff wait).
-/// With a null wheel the backoff degrades to a blocking sleep on the
-/// completing thread, which keeps the call usable in fully-sync setups.
-void RetryAsync(const RetryPolicy& policy, TimerWheel* wheel,
-                Retryer::Clock clock, uint64_t jitter_seed,
-                RetryAsyncAttempt attempt, std::function<void(Status)> done);
+/// The retry loop: runs `attempt` under `schedule` and reports the verdict
+/// through `done`, exactly once, on whatever thread finished the last
+/// attempt (or the wheel thread when the verdict was reached after a
+/// backoff). Between attempts the loop parks on `wheel`, so a pool worker
+/// is never held hostage by a struggling trust service; with a null wheel
+/// it waits with the schedule's blocking sleep on the completing thread.
+/// An attempt that completes inline continues the loop on the same stack
+/// frame instead of recursing.
+void RetryAsync(Retryer schedule, TimerWheel* wheel, RetryAsyncAttempt attempt,
+                std::function<void(Status)> done);
 
 /// A minimal circuit breaker (closed -> open -> half-open): after
 /// `failure_threshold` consecutive failures the circuit opens and calls are

@@ -286,9 +286,10 @@ Status InteractiveApplicationEngine::ScriptPhase(
 
 /// The launch pipeline, cut into three task-graph stages:
 ///   security — parse, signature verification, decrypt;
-///   xkms     — signer key-binding validation, asynchronous when the client
-///              carries an async transport (the graph node's worker is
-///              released while requests are in flight);
+///   xkms     — signer key-binding validation, an async node: when the
+///              transport completes later (a wheel, an xkmsd worker) the
+///              graph node's worker is released while requests are in
+///              flight;
 ///   execute  — cluster parsing, wrapping defense, rights, policy, markup
 ///              and script execution, engine-serialized because
 ///              LocalStorage and the script host API are unsynchronized.
@@ -363,8 +364,9 @@ class InteractiveApplicationEngine::StagedLaunch {
   /// `handle` with the first failure. Only a definite "no such binding" is
   /// a verification verdict; a transport or service breakdown keeps its own
   /// code (and retryability) so callers can tell "key not registered" from
-  /// "could not ask". Uses the client's async call shape, which degrades to
-  /// inline blocking calls when no async transport is configured.
+  /// "could not ask". Runs inside transport completions from the second
+  /// call on, so it takes only the async call shapes: a blocking call here
+  /// could wait on the very thread that has to complete it.
   static void ValidateDeferredKeys(std::shared_ptr<StagedLaunch> self,
                                    size_t index,
                                    taskgraph::CompletionHandle handle) {
@@ -408,7 +410,7 @@ class InteractiveApplicationEngine::StagedLaunch {
     // configured; the Validate verdict is always fetched live so a
     // revocation is honored immediately, not a TTL later.
     if (config.xkms_cache != nullptr) {
-      on_binding(config.xkms_cache->Locate(name));
+      config.xkms_cache->LocateAsync(name, std::move(on_binding));
     } else {
       client->LocateAsync(name, std::move(on_binding));
     }

@@ -62,6 +62,22 @@ struct FunctionDef {
 
 struct Node {
   explicit Node(NodeType t) : type(t) {}
+  /// Frees the subtree iteratively: a long operator chain (1+1+…+1) is an
+  /// arbitrarily deep tree, and one destructor frame per level would
+  /// overflow the stack.
+  ~Node() {
+    std::vector<NodePtr> pending = std::move(children);
+    while (!pending.empty()) {
+      NodePtr node = std::move(pending.back());
+      pending.pop_back();
+      if (node == nullptr) continue;  // a child the parser moved out
+      for (NodePtr& child : node->children) pending.push_back(std::move(child));
+      node->children.clear();
+    }
+  }
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+
   NodeType type;
   double number_value = 0.0;
   bool bool_value = false;

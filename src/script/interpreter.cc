@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <vector>
+
+#include <pthread.h>
 
 #include "script/parser.h"
 
@@ -24,6 +27,31 @@ struct Interpreter::Flow {
 };
 
 namespace {
+
+/// Stack kept free below the deepest EvalNode frame, for what runs past the
+/// last check: one more EvalNode, host natives, the allocator, error
+/// formatting. An unoptimized sanitizer build spends about 24 KiB on one
+/// EvalNode frame.
+constexpr uintptr_t kStackReserveBytes = 256 * 1024;
+
+/// The lowest address EvalNode may recurse down to on the calling thread:
+/// the bottom of its stack plus kStackReserveBytes. Computed once per
+/// thread (for the main thread pthread_getattr_np reads /proc); 0 when the
+/// stack bounds are unknown, which disables the check.
+uintptr_t StackFloor() {
+  thread_local const uintptr_t floor_address = [] {
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) != 0) return uintptr_t{0};
+    void* low = nullptr;
+    size_t size = 0;
+    pthread_attr_getstack(&attr, &low, &size);
+    pthread_attr_destroy(&attr);
+    return low == nullptr ? uintptr_t{0}
+                          : reinterpret_cast<uintptr_t>(low) +
+                                kStackReserveBytes;
+  }();
+  return floor_address;
+}
 
 /// The deterministic standard-library subset every interpreter gets:
 /// Math (no Math.random — the player profile is deterministic), number
@@ -149,19 +177,24 @@ Status Interpreter::Tick(const Node& node) {
 }
 
 namespace {
-/// Rebases every function index in the tree by `offset`.
-void RebaseFunctionIndices(Node* node, size_t offset) {
-  if (node->type == NodeType::kFunctionExpr ||
-      node->type == NodeType::kFunctionDecl) {
-    node->function_index += offset;
-  }
-  for (const NodePtr& child : node->children) {
-    RebaseFunctionIndices(child.get(), offset);
+/// Rebases every function index in the tree by `offset`. Iterative: a long
+/// operator chain (1+1+…+1) parses into an arbitrarily deep tree.
+void RebaseFunctionIndices(Node* root, size_t offset) {
+  std::vector<Node*> pending = {root};
+  while (!pending.empty()) {
+    Node* node = pending.back();
+    pending.pop_back();
+    if (node->type == NodeType::kFunctionExpr ||
+        node->type == NodeType::kFunctionDecl) {
+      node->function_index += offset;
+    }
+    for (const NodePtr& child : node->children) pending.push_back(child.get());
   }
 }
 }  // namespace
 
 Result<Value> Interpreter::Run(const std::string& source) {
+  stack_floor_ = StackFloor();
   DISCSEC_ASSIGN_OR_RETURN(Program program, ParseProgram(source));
   size_t offset = functions_.size();
   RebaseFunctionIndices(program.root.get(), offset);
@@ -206,6 +239,7 @@ Result<Value> Interpreter::CallValue(const Value& callee,
   if (call_depth_ >= limits_.max_call_depth) {
     return Status::ResourceExhausted("script exceeded call depth");
   }
+  stack_floor_ = StackFloor();
   const Value::Closure& closure = callee.AsClosure();
   std::shared_ptr<Environment> env = NewEnvironment(closure.env);
   const FunctionDef& def = *closure.def;
@@ -321,6 +355,15 @@ Result<Value> Interpreter::EvalNode(const Node& node,
                                     std::shared_ptr<Environment> env,
                                     Flow* flow) {
   DISCSEC_RETURN_IF_ERROR(Tick(node));
+  // Bounds evaluation depth by the stack it actually uses, whatever the
+  // frame size of this build: deep operator chains and recursion stop here
+  // instead of overflowing the thread's stack.
+  if (reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) <
+      stack_floor_) {
+    return Status::ResourceExhausted(
+        "script nests too deeply for the stack at line " +
+        std::to_string(node.line));
+  }
   switch (node.type) {
     case NodeType::kNumberLiteral:
       return Value::Number(node.number_value);

@@ -1,6 +1,7 @@
 #ifndef DISCSEC_SCRIPT_INTERPRETER_H_
 #define DISCSEC_SCRIPT_INTERPRETER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +86,9 @@ class Interpreter {
   Limits limits_;
   uint64_t steps_used_ = 0;
   size_t call_depth_ = 0;
+  /// EvalNode refuses to recurse below this stack address (StackFloor() of
+  /// the thread that entered through Run or CallValue).
+  uintptr_t stack_floor_ = 0;
   /// Every scope created so far (expired entries are pruned as the list
   /// grows), emptied by the destructor. Declared before globals_, which is
   /// the first entry.

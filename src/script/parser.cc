@@ -8,6 +8,13 @@ namespace script {
 
 namespace {
 
+/// How deeply the parser may recurse: each statement, assignment-level
+/// expression and prefix operator open on the stack counts one level (a
+/// parenthesised subexpression costs two). Script sources are untrusted
+/// (disc and network content), so nesting is bounded before it can exhaust
+/// the stack.
+constexpr int kMaxNesting = 256;
+
 class ParserImpl {
  public:
   ParserImpl(std::vector<Token> tokens, Program* program)
@@ -62,6 +69,20 @@ class ParserImpl {
     return Status::OK();
   }
 
+  /// One level of recursive descent, held while a parse function runs.
+  struct Nesting {
+    explicit Nesting(int* d) : depth(d) { ++*depth; }
+    ~Nesting() { --*depth; }
+    int* depth;
+  };
+  Status CheckNesting() const {
+    if (depth_ <= kMaxNesting) return Status::OK();
+    return Status::ResourceExhausted("script nests deeper than " +
+                                     std::to_string(kMaxNesting) +
+                                     " levels at line " +
+                                     std::to_string(Peek().line));
+  }
+
   NodePtr MakeNode(NodeType type) {
     auto node = std::make_unique<Node>(type);
     node->line = Peek().line;
@@ -71,6 +92,8 @@ class ParserImpl {
   // ---- statements ----
 
   Result<NodePtr> ParseStatement() {
+    Nesting nesting(&depth_);
+    DISCSEC_RETURN_IF_ERROR(CheckNesting());
     if (CheckPunct("{")) return ParseBlock();
     if (CheckKeyword("var")) return ParseVarStatement();
     if (CheckKeyword("function")) return ParseFunctionDecl();
@@ -316,6 +339,8 @@ class ParserImpl {
   Result<NodePtr> ParseExpression() { return ParseAssignment(); }
 
   Result<NodePtr> ParseAssignment() {
+    Nesting nesting(&depth_);
+    DISCSEC_RETURN_IF_ERROR(CheckNesting());
     DISCSEC_ASSIGN_OR_RETURN(NodePtr lhs, ParseConditional());
     static const char* kAssignOps[] = {"=", "+=", "-=", "*=", "/=", "%="};
     for (const char* op : kAssignOps) {
@@ -416,6 +441,8 @@ class ParserImpl {
   }
 
   Result<NodePtr> ParseUnary() {
+    Nesting nesting(&depth_);
+    DISCSEC_RETURN_IF_ERROR(CheckNesting());
     if (CheckPunct("-") || CheckPunct("+") || CheckPunct("!")) {
       auto node = MakeNode(NodeType::kUnary);
       node->string_value = Advance().text;
@@ -595,6 +622,7 @@ class ParserImpl {
   std::vector<Token> tokens_;
   Program* program_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< current recursive-descent nesting, see Nesting
 };
 
 }  // namespace

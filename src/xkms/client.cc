@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/await.h"
 #include "pki/key_codec.h"
 #include "xml/parser.h"
 
@@ -18,8 +19,6 @@ Result<xml::Document> ParseResponse(const std::string& response_xml) {
   return doc;
 }
 
-/// Response decoding shared by the sync and async call shapes, so the two
-/// paths cannot drift in error taxonomy or field handling.
 Result<KeyBinding> ParseLocateResponse(const std::string& name,
                                        const std::string& response_xml) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -62,7 +61,7 @@ Result<KeyBinding> ParseLocateResponse(const std::string& name,
 }
 
 /// `raw_status`, when non-null, receives the Status element's literal text
-/// (what the sync path records as the span attribute).
+/// (recorded as the span attribute).
 Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
                                         std::string* raw_status) {
   DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
@@ -79,39 +78,36 @@ Result<KeyStatus> ParseValidateResponse(const std::string& response_xml,
   return KeyStatus::kIndeterminate;
 }
 
+/// Register/Revoke decoding: a ResultMajor of Success, else `rejected`.
+Status ExpectSuccess(const std::string& response_xml, Status rejected) {
+  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
+  const std::string* major = doc.root()->GetAttribute("ResultMajor");
+  if (major == nullptr || *major != "Success") return rejected;
+  return Status::OK();
+}
+
 }  // namespace
 
 XkmsClient XkmsClient::Direct(XkmsService* service) {
   return XkmsClient(DirectTransport(service));
 }
 
-Transport XkmsClient::DirectTransport(XkmsService* service,
+Transport XkmsClient::DirectTransport(XkmsService* service, TimerWheel* wheel,
                                       fault::FaultInjector* injector) {
-  return [service,
-          injector](const std::string& request) -> Result<std::string> {
-    std::string wire_request = request;
-    DISCSEC_RETURN_IF_ERROR(
-        fault::Effective(injector)
-            ->HitData(fault::kXkmsTransport, &wire_request, "request")
-            .WithContext("XKMS transport"));
-    Result<std::string> response = service->HandleRequest(wire_request);
-    if (!response.ok()) {
-      return response.status().WithContext("XKMS service");
+  // Serves a fault-injected latency: parked on the wheel when there is one,
+  // slept inline otherwise.
+  auto after = [wheel](int64_t delay_us, auto next) {
+    if (delay_us > 0) {
+      if (wheel != nullptr) {
+        wheel->ScheduleAfter(delay_us, std::move(next));
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
     }
-    std::string wire_response = std::move(response).value();
-    DISCSEC_RETURN_IF_ERROR(
-        fault::Effective(injector)
-            ->HitData(fault::kXkmsTransport, &wire_response, "response")
-            .WithContext("XKMS transport"));
-    return wire_response;
+    next();
   };
-}
-
-AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
-                                                TimerWheel* wheel,
-                                                fault::FaultInjector* injector) {
-  return [service, wheel, injector](const std::string& request,
-                                    AsyncCallback done) {
+  return [service, injector, after](const std::string& request,
+                                    TransportCallback done) {
     fault::FaultInjector* fi = fault::Effective(injector);
     std::string wire_request = request;
     int64_t request_delay_us = 0;
@@ -123,9 +119,9 @@ AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
       return;
     }
     // The service call plus the response-side fault point; runs after the
-    // request-side latency (if any) has been served off the wheel.
-    auto respond = [service, wheel, fi,
-                    wire_request = std::move(wire_request), done]() {
+    // request-side latency (if any) has been served.
+    after(request_delay_us, [service, fi, after,
+                             wire_request = std::move(wire_request), done]() {
       Result<std::string> response = service->HandleRequest(wire_request);
       if (!response.ok()) {
         done(response.status().WithContext("XKMS service"));
@@ -140,131 +136,100 @@ AsyncTransport XkmsClient::DirectAsyncTransport(XkmsService* service,
         done(std::move(hit));
         return;
       }
-      if (response_delay_us > 0) {
-        if (wheel != nullptr) {
-          wheel->ScheduleAfter(
-              response_delay_us,
-              [done, wire_response = std::move(wire_response)]() mutable {
-                done(std::move(wire_response));
-              });
-          return;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(response_delay_us));
-      }
-      done(std::move(wire_response));
-    };
-    if (request_delay_us > 0) {
-      if (wheel != nullptr) {
-        wheel->ScheduleAfter(request_delay_us, respond);
-        return;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(request_delay_us));
-    }
-    respond();
+      after(response_delay_us,
+            [done, wire_response = std::move(wire_response)]() mutable {
+              done(std::move(wire_response));
+            });
+    });
   };
 }
 
-Result<KeyBinding> XkmsClient::Locate(const std::string& name) {
-  obs::ScopedSpan span(tracer_, "xkms.locate");
-  span.SetAttr("name", name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.locate")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildLocateRequest(name)));
-  return ParseLocateResponse(name, response_xml);
-}
-
-Result<KeyStatus> XkmsClient::Validate(const std::string& name,
-                                       const crypto::RsaPublicKey& key) {
-  obs::ScopedSpan span(tracer_, "xkms.validate");
-  span.SetAttr("name", name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.validate")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildValidateRequest(name, key)));
-  std::string raw_status;
-  Result<KeyStatus> parsed = ParseValidateResponse(response_xml, &raw_status);
-  if (parsed.ok()) span.SetAttr("status", raw_status);
-  return parsed;
+template <typename R, typename Decode>
+void XkmsClient::Call(const char* op, const std::string& name,
+                      const std::string& request, Decode decode,
+                      std::function<void(R)> done) {
+  if (metrics_ != nullptr) metrics_->GetCounter(op)->Add();
+  obs::Tracer* tracer = tracer_;
+  transport_(request, [op, name, tracer, decode = std::move(decode),
+                       done = std::move(done)](Result<std::string> response) {
+    // The completion may land on another thread, so the span is opened
+    // here, around response decoding, instead of spanning the in-flight
+    // gap: ScopedSpan's thread-local parent stack must begin and end on one
+    // thread.
+    obs::ScopedSpan span(tracer, op);
+    span.SetAttr("name", name);
+    if (!response.ok()) {
+      done(response.status());
+      return;
+    }
+    done(decode(response.value(), &span));
+  });
 }
 
 void XkmsClient::LocateAsync(const std::string& name,
                              std::function<void(Result<KeyBinding>)> done) {
-  if (async_transport_ == nullptr) {
-    done(Locate(name));
-    return;
-  }
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.locate")->Add();
-  // The completion may land on another thread, so the span is opened there
-  // (around response decoding) instead of spanning the in-flight gap —
-  // ScopedSpan's thread-local parent stack must begin and end on one
-  // thread.
-  obs::Tracer* tracer = tracer_;
-  async_transport_(
-      BuildLocateRequest(name),
-      [name, tracer, done = std::move(done)](Result<std::string> response) {
-        obs::ScopedSpan span(tracer, "xkms.locate");
-        span.SetAttr("name", name);
-        if (!response.ok()) {
-          done(response.status());
-          return;
-        }
-        done(ParseLocateResponse(name, response.value()));
-      });
+  Call<Result<KeyBinding>>(
+      "xkms.locate", name, BuildLocateRequest(name),
+      [name](const std::string& response_xml, obs::ScopedSpan*) {
+        return ParseLocateResponse(name, response_xml);
+      },
+      std::move(done));
 }
 
 void XkmsClient::ValidateAsync(const std::string& name,
                                const crypto::RsaPublicKey& key,
                                std::function<void(Result<KeyStatus>)> done) {
-  if (async_transport_ == nullptr) {
-    done(Validate(name, key));
-    return;
-  }
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.validate")->Add();
-  obs::Tracer* tracer = tracer_;
-  async_transport_(
-      BuildValidateRequest(name, key),
-      [name, tracer, done = std::move(done)](Result<std::string> response) {
-        obs::ScopedSpan span(tracer, "xkms.validate");
-        span.SetAttr("name", name);
-        if (!response.ok()) {
-          done(response.status());
-          return;
-        }
+  Call<Result<KeyStatus>>(
+      "xkms.validate", name, BuildValidateRequest(name, key),
+      [](const std::string& response_xml, obs::ScopedSpan* span) {
         std::string raw_status;
         Result<KeyStatus> parsed =
-            ParseValidateResponse(response.value(), &raw_status);
-        if (parsed.ok()) span.SetAttr("status", raw_status);
-        done(std::move(parsed));
+            ParseValidateResponse(response_xml, &raw_status);
+        if (parsed.ok()) span->SetAttr("status", raw_status);
+        return parsed;
+      },
+      std::move(done));
+}
+
+Result<KeyBinding> XkmsClient::Locate(const std::string& name) {
+  return Await<Result<KeyBinding>>(
+      [&](std::function<void(Result<KeyBinding>)> done) {
+        LocateAsync(name, std::move(done));
+      });
+}
+
+Result<KeyStatus> XkmsClient::Validate(const std::string& name,
+                                       const crypto::RsaPublicKey& key) {
+  return Await<Result<KeyStatus>>(
+      [&](std::function<void(Result<KeyStatus>)> done) {
+        ValidateAsync(name, key, std::move(done));
       });
 }
 
 Status XkmsClient::Register(const KeyBinding& binding) {
-  obs::ScopedSpan span(tracer_, "xkms.register");
-  span.SetAttr("name", binding.name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.register")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildRegisterRequest(binding)));
-  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
-  const std::string* major = doc.root()->GetAttribute("ResultMajor");
-  if (major == nullptr || *major != "Success") {
-    return Status::VerificationFailed("XKMS register rejected");
-  }
-  return Status::OK();
+  return Await<Status>([&](std::function<void(Status)> done) {
+    Call<Status>(
+        "xkms.register", binding.name, BuildRegisterRequest(binding),
+        [](const std::string& response_xml, obs::ScopedSpan*) -> Status {
+          return ExpectSuccess(response_xml,
+                               Status::VerificationFailed(
+                                   "XKMS register rejected"));
+        },
+        std::move(done));
+  });
 }
 
 Status XkmsClient::Revoke(const std::string& name) {
-  obs::ScopedSpan span(tracer_, "xkms.revoke");
-  span.SetAttr("name", name);
-  if (metrics_ != nullptr) metrics_->GetCounter("xkms.revoke")->Add();
-  DISCSEC_ASSIGN_OR_RETURN(std::string response_xml,
-                           transport_(BuildRevokeRequest(name)));
-  DISCSEC_ASSIGN_OR_RETURN(xml::Document doc, ParseResponse(response_xml));
-  const std::string* major = doc.root()->GetAttribute("ResultMajor");
-  if (major == nullptr || *major != "Success") {
-    return Status::NotFound("XKMS revoke failed for '" + name + "'");
-  }
-  return Status::OK();
+  return Await<Status>([&](std::function<void(Status)> done) {
+    Call<Status>(
+        "xkms.revoke", name, BuildRevokeRequest(name),
+        [name](const std::string& response_xml, obs::ScopedSpan*) -> Status {
+          return ExpectSuccess(
+              response_xml,
+              Status::NotFound("XKMS revoke failed for '" + name + "'"));
+        },
+        std::move(done));
+  });
 }
 
 }  // namespace xkms

@@ -14,22 +14,18 @@
 namespace discsec {
 namespace xkms {
 
-/// Transport used by the client: ships a serialized request, returns the
-/// serialized response. The net module provides one over the secure channel;
-/// tests bind it straight to an XkmsService.
+/// Completion of a transport call: the serialized response, or why there
+/// is none. Invoked exactly once, on any thread.
+using TransportCallback = std::function<void(Result<std::string>)>;
+
+/// The client's transport: ships a serialized request and completes through
+/// `done`. A blocking source (Downloader::XkmsTransport, the inline Xkmsd,
+/// a test lambda) calls done(...) before it returns; a networked one
+/// completes later from a TimerWheel or a worker thread, which is what lets
+/// an XKMS round-trip ride a task-graph async node without holding the
+/// pool worker that issued it.
 using Transport =
-    std::function<Result<std::string>(const std::string& request_xml)>;
-
-/// Completion callback of an asynchronous transport call. May be invoked
-/// from any thread (a TimerWheel thread, a pool worker); exactly once.
-using AsyncCallback = std::function<void(Result<std::string>)>;
-
-/// Asynchronous transport: ships the request and completes through the
-/// callback instead of blocking the caller. This is what lets an XKMS
-/// round-trip ride a task-graph async node — the pool worker that issued
-/// the request is released while the "network" is in flight.
-using AsyncTransport =
-    std::function<void(const std::string& request_xml, AsyncCallback done)>;
+    std::function<void(const std::string& request_xml, TransportCallback done)>;
 
 /// Player/author-side XKMS client: builds request markup, sends it through
 /// the transport, parses the response.
@@ -44,24 +40,21 @@ class XkmsClient {
   explicit XkmsClient(Transport transport)
       : transport_(std::move(transport)) {}
 
-  /// Locates a registered key binding by name.
-  Result<KeyBinding> Locate(const std::string& name);
-
-  /// Asks the trust service whether (name, key) is currently valid.
-  Result<KeyStatus> Validate(const std::string& name,
-                             const crypto::RsaPublicKey& key);
-
-  /// Async counterparts: identical request markup, response parsing and
-  /// error taxonomy as the blocking calls, completing through `done`
-  /// (invoked exactly once, possibly on another thread). They use the
-  /// async transport when one is set and otherwise degrade to the blocking
-  /// transport with an inline completion, so callers can always take the
-  /// async shape and let configuration decide whether anything overlaps.
+  /// Locates a registered key binding by name. `done` is invoked exactly
+  /// once, possibly on another thread.
   void LocateAsync(const std::string& name,
                    std::function<void(Result<KeyBinding>)> done);
+
+  /// Asks the trust service whether (name, key) is currently valid.
   void ValidateAsync(const std::string& name,
                      const crypto::RsaPublicKey& key,
                      std::function<void(Result<KeyStatus>)> done);
+
+  /// Blocking adapters (Await over the transport). Never call them inside
+  /// a transport completion; code running there takes the async calls.
+  Result<KeyBinding> Locate(const std::string& name);
+  Result<KeyStatus> Validate(const std::string& name,
+                             const crypto::RsaPublicKey& key);
 
   /// Registers a binding with the trust service.
   Status Register(const KeyBinding& binding);
@@ -76,20 +69,14 @@ class XkmsClient {
   /// fault injection). Consults `injector` (null = global) at the
   /// fault::kXkmsTransport point on the request and response strings
   /// (details "request"/"response"); service-side failures are labelled
-  /// "XKMS service", injected transport errors "XKMS transport". The
-  /// service must outlive the returned closure.
-  static Transport DirectTransport(XkmsService* service,
-                                   fault::FaultInjector* injector = nullptr);
-
-  /// Async flavor of DirectTransport: same fault points and error labels,
-  /// but a fired kDelay fault at xkms.transport parks the continuation on
-  /// `wheel` for its latency instead of sleeping a thread — the injected
-  /// "broadband round-trip" costs wall-clock, not a worker. With a null
-  /// wheel delays degrade to blocking sleeps. The service and wheel must
+  /// "XKMS service", injected transport errors "XKMS transport". A fired
+  /// kDelay fault parks the continuation on `wheel` for its latency instead
+  /// of sleeping a thread; with a null wheel the delay is slept inline and
+  /// the call completes before it returns. The service and wheel must
   /// outlive the returned closure.
-  static AsyncTransport DirectAsyncTransport(
-      XkmsService* service, TimerWheel* wheel,
-      fault::FaultInjector* injector = nullptr);
+  static Transport DirectTransport(XkmsService* service,
+                                   TimerWheel* wheel = nullptr,
+                                   fault::FaultInjector* injector = nullptr);
 
   /// Observability (DESIGN.md §10): "xkms.locate" / "xkms.validate" /
   /// "xkms.register" / "xkms.revoke" spans (attributes: name, and the
@@ -99,16 +86,15 @@ class XkmsClient {
     metrics_ = metrics;
   }
 
-  /// Attaches the transport LocateAsync/ValidateAsync ride. The sync calls
-  /// never touch it, so one client can serve both paths.
-  void set_async_transport(AsyncTransport transport) {
-    async_transport_ = std::move(transport);
-  }
-  bool has_async_transport() const { return async_transport_ != nullptr; }
-
  private:
+  /// The one call body: counts `op`, ships `request`, and decodes the
+  /// response with `decode(response_xml, span)` inside an `op` span.
+  template <typename R, typename Decode>
+  void Call(const char* op, const std::string& name,
+            const std::string& request, Decode decode,
+            std::function<void(R)> done);
+
   Transport transport_;
-  AsyncTransport async_transport_;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
 };

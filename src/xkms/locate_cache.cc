@@ -1,7 +1,10 @@
 #include "xkms/locate_cache.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
+
+#include "common/await.h"
 
 namespace discsec {
 namespace xkms {
@@ -22,60 +25,51 @@ LocateCache::LocateCache(XkmsClient* client, Options options)
       clock_(options_.clock ? options_.clock
                             : std::function<int64_t()>(SteadyNowUs)) {}
 
-Result<KeyBinding> LocateCache::Locate(const std::string& name) {
-  obs::ScopedSpan span(tracer_, "xkms.locate_cache");
-  span.SetAttr("name", name);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
+void LocateCache::LocateAsync(const std::string& name,
+                              std::function<void(Result<KeyBinding>)> done) {
+  std::optional<KeyBinding> hit;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-      if (clock_() < it->second.expires_us) {
+    obs::ScopedSpan span(tracer_, "xkms.locate_cache");
+    span.SetAttr("name", name);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(name);
+      if (it != entries_.end() && clock_() < it->second.expires_us) {
         ++stats_.hits;
-        span.SetAttr("outcome", "hit");
-        return it->second.binding;
+        hit = it->second.binding;
+      } else {
+        if (it != entries_.end()) {
+          entries_.erase(it);
+          ++stats_.expirations;
+        }
+        std::vector<Waiter>& waiters = flights_[name];
+        waiters.push_back(std::move(done));
+        if (waiters.size() > 1) {
+          ++stats_.coalesced;
+          span.SetAttr("outcome", "coalesced");
+          return;
+        }
+        ++stats_.misses;
+        ++stats_.transport_calls;
       }
-      entries_.erase(it);
-      ++stats_.expirations;
     }
-    auto in_flight = flights_.find(name);
-    if (in_flight != flights_.end()) {
-      ++stats_.coalesced;
-      span.SetAttr("outcome", "coalesced");
-      flight = in_flight->second;
-    } else {
-      leader = true;
-      ++stats_.misses;
-      ++stats_.transport_calls;
+    if (!hit) {
+      // Leader: the transport call happens outside the cache lock, so slow
+      // lookups for one name never block hits on others.
       span.SetAttr("outcome", "miss");
-      flight = std::make_shared<Flight>();
-      flights_.emplace(name, flight);
+      client_->LocateAsync(name, [this, name](Result<KeyBinding> result) {
+        Finish(name, result);
+      });
+      return;
     }
+    span.SetAttr("outcome", "hit");
   }
+  done(std::move(*hit));
+}
 
-  if (!leader) {
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
-    return *flight->result;
-  }
-
-  // Leader: the transport call happens outside every cache lock, so slow
-  // lookups for one name never block hits on others.
-  Result<KeyBinding> result = client_->Locate(name);
-  // Publish into the flight BEFORE retiring it from flights_. Callers that
-  // attach in between still find the flight and share this verdict —
-  // crucially including an error verdict, which is never cached: without
-  // this ordering a failure storm turns every late arrival into a fresh
-  // leader and each one hammers the struggling upstream in series. After
-  // the erase below, the next caller starts a clean flight (one retry per
-  // storm wave, not one per caller).
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->result = result;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
+void LocateCache::Finish(const std::string& name,
+                         const Result<KeyBinding>& result) {
+  std::vector<Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (result.ok()) {
@@ -88,9 +82,23 @@ Result<KeyBinding> LocateCache::Locate(const std::string& name) {
         entries_.erase(victim);
       }
     }
-    flights_.erase(name);
+    // The cache entry and the flight's retirement are one step under the
+    // lock: every caller that arrived during the flight is a waiter here,
+    // and the next caller either hits the entry or — after an error, which
+    // is never cached — leads a fresh flight (one retry per storm wave,
+    // not one per caller).
+    auto flight = flights_.find(name);
+    waiters = std::move(flight->second);
+    flights_.erase(flight);
   }
-  return result;
+  for (const Waiter& waiter : waiters) waiter(result);
+}
+
+Result<KeyBinding> LocateCache::Locate(const std::string& name) {
+  return Await<Result<KeyBinding>>(
+      [&](std::function<void(Result<KeyBinding>)> done) {
+        LocateAsync(name, std::move(done));
+      });
 }
 
 void LocateCache::Invalidate(const std::string& name) {

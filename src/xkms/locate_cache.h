@@ -1,14 +1,12 @@
 #ifndef DISCSEC_XKMS_LOCATE_CACHE_H_
 #define DISCSEC_XKMS_LOCATE_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "xkms/client.h"
@@ -24,19 +22,22 @@ struct LocateCacheStats {
   uint64_t expirations = 0;   ///< entries discarded because their TTL lapsed
   uint64_t coalesced = 0;     ///< callers that waited on another's in-flight
                               ///< Locate instead of issuing their own
-  uint64_t transport_calls = 0;  ///< actual XkmsClient::Locate invocations
+  uint64_t transport_calls = 0;  ///< actual XkmsClient::LocateAsync calls
 };
 
-/// A TTL cache with single-flight deduplication over XkmsClient::Locate.
+/// A TTL cache with single-flight deduplication over
+/// XkmsClient::LocateAsync.
 ///
 /// N concurrent players resolving the same KeyInfo name issue exactly one
-/// transport call: the first caller becomes the leader and performs the
-/// lookup while the rest block on the shared flight and receive the leader's
-/// result (including its error — errors are delivered to every waiter but
-/// never cached, so the next call retries). Successful bindings are cached
-/// for `ttl_us` of the injected clock; revocation latency is therefore
-/// bounded by the TTL, which is why Validate verdicts are deliberately NOT
-/// cached here — see DESIGN.md §9.
+/// transport call: the first caller becomes the leader and issues the
+/// lookup, the rest queue their callbacks on the shared flight, and every
+/// one of them receives the leader's result when it completes (including
+/// its error — errors are delivered to every waiter but never cached, so
+/// the next call starts a fresh flight). Nobody blocks: callbacks run
+/// outside the cache lock on whatever thread completed the lookup.
+/// Successful bindings are cached for `ttl_us` of the injected clock;
+/// revocation latency is therefore bounded by the TTL, which is why
+/// Validate verdicts are deliberately NOT cached here — see DESIGN.md §9.
 class LocateCache {
  public:
   struct Options {
@@ -52,7 +53,13 @@ class LocateCache {
   explicit LocateCache(XkmsClient* client) : LocateCache(client, Options()) {}
   LocateCache(XkmsClient* client, Options options);
 
-  /// Cached, deduplicated XkmsClient::Locate.
+  /// Cached, deduplicated XkmsClient::LocateAsync. `done` runs exactly
+  /// once: inline on a hit, otherwise when the flight completes.
+  void LocateAsync(const std::string& name,
+                   std::function<void(Result<KeyBinding>)> done);
+
+  /// Blocking adapter (Await over LocateAsync). Never call it inside a
+  /// transport completion.
   Result<KeyBinding> Locate(const std::string& name);
 
   /// The wrapped client, for the operations that must stay uncached
@@ -77,13 +84,11 @@ class LocateCache {
     KeyBinding binding;
     int64_t expires_us = 0;
   };
-  /// One in-flight Locate; waiters block on `cv` until the leader publishes.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::optional<Result<KeyBinding>> result;
-  };
+  using Waiter = std::function<void(Result<KeyBinding>)>;
+
+  /// Caches a successful result, retires the flight and hands its verdict
+  /// to every waiter.
+  void Finish(const std::string& name, const Result<KeyBinding>& result);
 
   XkmsClient* client_;
   Options options_;
@@ -91,7 +96,9 @@ class LocateCache {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
-  std::map<std::string, std::shared_ptr<Flight>> flights_;
+  /// In-flight lookups by name: the callbacks waiting on each, leader
+  /// first.
+  std::map<std::string, std::vector<Waiter>> flights_;
   LocateCacheStats stats_;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -16,7 +16,8 @@ struct RetryingTransportOptions {
   CircuitBreaker::Options breaker;
   /// Injectable clock/sleep, microseconds — tests drive deadlines and
   /// breaker cool-downs with a fake clock and no real sleeping. Defaults
-  /// (empty) use the steady clock and a real sleep.
+  /// (empty) use the steady clock and a real sleep. `sleep` is the backoff
+  /// wait when the transport has no wheel.
   Retryer::Clock clock;
   Retryer::SleepFn sleep;
   uint64_t jitter_seed = 0;
@@ -41,11 +42,17 @@ struct RetryingTransportStats {
 /// retryable (kUnavailable) failures are retried under the policy, and a
 /// run of consecutive failed *calls* opens the circuit so a struggling
 /// trust service is not hammered — further calls fail fast with
-/// kUnavailable until the cool-down admits a probe.
+/// kUnavailable until the cool-down admits a probe. A call rejected by the
+/// open circuit completes inline.
+///
+/// Backoff between attempts parks on `wheel`, so no thread sleeps through
+/// it; with a null wheel it waits with `options.sleep` on the thread that
+/// completed the failed attempt. The wheel must outlive every copy of the
+/// returned transport.
 ///
 /// The wrapper is thread-safe: breaker transitions are mutex-guarded,
-/// counters are atomic, and each call runs its own Retryer (jitter streams
-/// are decorrelated per call), so concurrent players may share one
+/// counters are atomic, and each call runs its own RetryAsync loop (jitter
+/// streams are decorrelated per call), so concurrent players may share one
 /// transport. The inner transport is invoked concurrently and must be
 /// thread-safe itself (DirectTransport over XkmsService's read paths is).
 ///
@@ -55,17 +62,7 @@ struct RetryingTransportStats {
 /// copy of the transport lives.
 Transport MakeRetryingTransport(
     Transport inner, RetryingTransportOptions options,
-    std::shared_ptr<const RetryingTransportStats>* stats = nullptr);
-
-/// Async counterpart of MakeRetryingTransport: the same breaker verdicts,
-/// stats accounting and per-call jitter-seed derivation, driven by
-/// RetryAsync so backoff between attempts parks on `wheel` instead of
-/// holding a thread. A call rejected by the open circuit completes
-/// immediately (inline) with the same kUnavailable status the sync wrapper
-/// returns. The wheel must outlive every copy of the returned transport;
-/// null degrades the backoff to blocking sleeps on the completing thread.
-AsyncTransport MakeAsyncRetryingTransport(
-    AsyncTransport inner, RetryingTransportOptions options, TimerWheel* wheel,
+    TimerWheel* wheel = nullptr,
     std::shared_ptr<const RetryingTransportStats>* stats = nullptr);
 
 }  // namespace xkms

@@ -241,8 +241,9 @@ class Xkmsd {
   void Submit(std::string request_xml, XkmsdRequestOptions req,
               Completion done);
 
-  /// Blocking convenience over Submit. Must not be called from this
-  /// responder's own pool workers (it would deadlock a full pool).
+  /// Blocking adapter: Await over Submit. Never call it inside a
+  /// completion, and so never from this responder's own pool workers (it
+  /// would deadlock a full pool).
   Result<std::string> Handle(const std::string& request_xml,
                              XkmsdRequestOptions req = {});
 
@@ -264,18 +265,15 @@ class Xkmsd {
   std::shared_ptr<Core> core_;
 };
 
-/// Server-transport glue: binds an XkmsClient (or the retrying transports
+/// Server-transport glue: binds an XkmsClient (or the retrying transport
 /// in retrying_transport.h) straight to an in-process Xkmsd, the fleet
-/// analogue of XkmsClient::DirectTransport. Each call derives its deadline
-/// from `request_budget_us` (0 = none) against the responder's clock, so a
-/// shed at the front door reaches the client with its retry-after hint
-/// intact. The responder must outlive the returned closure.
+/// analogue of XkmsClient::DirectTransport. Completes on whatever thread
+/// the responder finished on — inline when the responder has no pool. Each
+/// call derives its deadline from `request_budget_us` (0 = none) against
+/// the responder's clock, so a shed at the front door reaches the client
+/// with its retry-after hint intact. The responder must outlive the
+/// returned closure.
 Transport MakeServerTransport(Xkmsd* server, int64_t request_budget_us = 0);
-
-/// Async flavor: completes through the callback on whatever thread the
-/// responder finished on. Same deadline derivation.
-AsyncTransport MakeAsyncServerTransport(Xkmsd* server,
-                                        int64_t request_budget_us = 0);
 
 }  // namespace xkms
 }  // namespace discsec

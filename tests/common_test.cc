@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/base64.h"
 #include "common/byte_sink.h"
@@ -10,6 +13,7 @@
 #include "common/retry.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "common/timer_wheel.h"
 
 namespace discsec {
 namespace {
@@ -380,58 +384,110 @@ TEST(FaultInjectorTest, KindNamesRoundTrip) {
   EXPECT_TRUE(fault::KindFromName("meltdown").status().IsInvalidArgument());
 }
 
-/// Fake time base for Retryer tests: clock reads a counter, sleep advances
-/// it and records the schedule. No real sleeping anywhere.
-struct FakeTime {
-  int64_t now_us = 0;
+/// The two ways to drive the one retry loop: Retryer::Run (inline
+/// attempts, a fake blocking sleep) and RetryAsync with its backoff parked
+/// on a ManualClock TimerWheel. Both read the same fake time, so every case
+/// below must see the same verdicts and the same backoff schedule through
+/// either driver. No real sleeping anywhere.
+enum class RetryDriver { kRetryerRun, kRetryAsyncOnWheel };
+
+class RetryerTest : public ::testing::TestWithParam<RetryDriver> {
+ protected:
+  /// Runs `attempt` under `policy` with the test's driver; every backoff
+  /// wait is appended to `sleeps`.
+  Status Run(const RetryPolicy& policy, const std::function<Status()>& attempt,
+             uint64_t seed = 0) {
+    Retryer::Clock clock = [this] { return Now(); };
+    if (GetParam() == RetryDriver::kRetryerRun) {
+      Retryer retryer(policy, clock,
+                      [this](int64_t us) {
+                        sleeps.push_back(us);
+                        now_us_ += us;
+                      },
+                      seed);
+      return retryer.Run(attempt);
+    }
+    std::optional<Status> verdict;
+    int64_t parked_at = -1;
+    RetryAsync(
+        Retryer(policy, clock, {}, seed), &wheel_,
+        [&](std::function<void(Status)> attempt_done) {
+          if (parked_at >= 0) sleeps.push_back(Now() - parked_at);
+          Status status = attempt();
+          parked_at = Now();
+          attempt_done(std::move(status));
+        },
+        [&](Status status) { verdict = std::move(status); });
+    // Step the wheel's clock a microsecond at a time, so each parked
+    // backoff fires exactly at its deadline.
+    for (int64_t step = 0; !verdict.has_value(); ++step) {
+      if (step > 100000000) {
+        ADD_FAILURE() << "retry loop never completed";
+        return Status::OK();
+      }
+      wheel_.AdvanceBy(1);
+    }
+    return *verdict;
+  }
+
+  /// Time passing inside an attempt.
+  void Elapse(int64_t us) {
+    if (GetParam() == RetryDriver::kRetryerRun) {
+      now_us_ += us;
+    } else {
+      wheel_.AdvanceBy(us);
+    }
+  }
+  int64_t Now() const {
+    return GetParam() == RetryDriver::kRetryerRun ? now_us_ : wheel_.NowUs();
+  }
+
   std::vector<int64_t> sleeps;
-  Retryer::Clock clock() {
-    return [this] { return now_us; };
-  }
-  Retryer::SleepFn sleep() {
-    return [this](int64_t us) {
-      sleeps.push_back(us);
-      now_us += us;
-    };
-  }
+
+ private:
+  int64_t now_us_ = 0;
+  TimerWheel wheel_{TimerWheel::ManualClock{}};
 };
 
-TEST(RetryerTest, SucceedsAfterTransientFailuresWithExponentialBackoff) {
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, RetryerTest,
+    ::testing::Values(RetryDriver::kRetryerRun,
+                      RetryDriver::kRetryAsyncOnWheel),
+    [](const ::testing::TestParamInfo<RetryDriver>& info) {
+      return info.param == RetryDriver::kRetryerRun ? "RetryerRun"
+                                                    : "RetryAsyncOnWheel";
+    });
+
+TEST_P(RetryerTest, SucceedsAfterTransientFailuresWithExponentialBackoff) {
   RetryPolicy policy;
   policy.max_attempts = 4;
-  FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(policy, [&]() -> Status {
     ++calls;
     if (calls < 3) return Status::Unavailable("flaky");
     return Status::OK();
   });
   EXPECT_TRUE(s.ok());
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(time.sleeps, (std::vector<int64_t>{1000, 2000}));
+  EXPECT_EQ(sleeps, (std::vector<int64_t>{1000, 2000}));
 }
 
-TEST(RetryerTest, TerminalStatusIsNotRetried) {
-  FakeTime time;
-  Retryer retryer(RetryPolicy{}, time.clock(), time.sleep());
+TEST_P(RetryerTest, TerminalStatusIsNotRetried) {
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(RetryPolicy{}, [&]() -> Status {
     ++calls;
     return Status::VerificationFailed("bad digest");
   });
   EXPECT_TRUE(s.IsVerificationFailed());
   EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(time.sleeps.empty());
+  EXPECT_TRUE(sleeps.empty());
 }
 
-TEST(RetryerTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
+TEST_P(RetryerTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
   RetryPolicy policy;
   policy.max_attempts = 3;
-  FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(policy, [&]() -> Status {
     ++calls;
     return Status::Unavailable("still down");
   });
@@ -441,7 +497,7 @@ TEST(RetryerTest, ExhaustionKeepsLastCodeAndCountsAttempts) {
       << s.ToString();
 }
 
-TEST(RetryerTest, BackoffCapsAtMax) {
+TEST_P(RetryerTest, BackoffCapsAtMax) {
   RetryPolicy policy;
   policy.initial_backoff_us = 1000;
   policy.backoff_multiplier = 10.0;
@@ -451,17 +507,20 @@ TEST(RetryerTest, BackoffCapsAtMax) {
   EXPECT_EQ(retryer.BackoffForAttempt(2), 10000);
   EXPECT_EQ(retryer.BackoffForAttempt(3), 50000);  // capped
   EXPECT_EQ(retryer.BackoffForAttempt(4), 50000);
+  int calls = 0;
+  Run(policy, [&] { return ++calls < 4 ? Status::Unavailable("x")
+                                        : Status::OK(); });
+  EXPECT_EQ(sleeps, (std::vector<int64_t>{1000, 10000}));
 }
 
-TEST(RetryerTest, JitterStaysWithinWindowAndIsSeeded) {
+TEST_P(RetryerTest, JitterStaysWithinWindowAndIsSeeded) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.jitter = 0.5;
   auto collect = [&](uint64_t seed) {
-    FakeTime time;
-    Retryer retryer(policy, time.clock(), time.sleep(), seed);
-    retryer.Run([] { return Status::Unavailable("x"); });
-    return time.sleeps;
+    sleeps.clear();
+    Run(policy, [] { return Status::Unavailable("x"); }, seed);
+    return sleeps;
   };
   std::vector<int64_t> a = collect(7), b = collect(7), c = collect(8);
   EXPECT_EQ(a, b);  // same seed, same schedule
@@ -474,14 +533,12 @@ TEST(RetryerTest, JitterStaysWithinWindowAndIsSeeded) {
   }
 }
 
-TEST(RetryerTest, RetryAfterHintOverridesExponentialSchedule) {
+TEST_P(RetryerTest, RetryAfterHintOverridesExponentialSchedule) {
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.initial_backoff_us = 1000;  // schedule would be 1000, 2000, 4000
-  FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(policy, [&]() -> Status {
     ++calls;
     // A shed responder tells us when its queues should have drained. The
     // second attempt carries no hint, so the schedule falls back to the
@@ -491,10 +548,10 @@ TEST(RetryerTest, RetryAfterHintOverridesExponentialSchedule) {
   });
   EXPECT_TRUE(s.IsUnavailable());
   EXPECT_EQ(calls, 4);
-  EXPECT_EQ(time.sleeps, (std::vector<int64_t>{9000, 2000, 9000}));
+  EXPECT_EQ(sleeps, (std::vector<int64_t>{9000, 2000, 9000}));
 }
 
-TEST(RetryerTest, HintedFleetReSpreadsThroughJitter) {
+TEST_P(RetryerTest, HintedFleetReSpreadsThroughJitter) {
   // Ten clients shed at the same instant with the same retry-after hint.
   // Without jitter they would all come back at hint expiry in lockstep and
   // re-trigger the shed; with jitter each sleeps a distinct fraction of the
@@ -505,30 +562,28 @@ TEST(RetryerTest, HintedFleetReSpreadsThroughJitter) {
   constexpr int64_t kHintUs = 80000;
   std::set<int64_t> wakeups;
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    FakeTime time;
-    Retryer retryer(policy, time.clock(), time.sleep(), seed);
-    retryer.Run(
-        [&] { return Status::Unavailable("shed").WithRetryAfter(kHintUs); });
-    ASSERT_EQ(time.sleeps.size(), 1u);
+    sleeps.clear();
+    Run(policy,
+        [&] { return Status::Unavailable("shed").WithRetryAfter(kHintUs); },
+        seed);
+    ASSERT_EQ(sleeps.size(), 1u);
     // Jitter only ever shortens: every client honors the hint window.
-    EXPECT_GE(time.sleeps[0], kHintUs / 2);
-    EXPECT_LE(time.sleeps[0], kHintUs);
-    wakeups.insert(time.sleeps[0]);
+    EXPECT_GE(sleeps[0], kHintUs / 2);
+    EXPECT_LE(sleeps[0], kHintUs);
+    wakeups.insert(sleeps[0]);
   }
   // The fleet decorrelated instead of stampeding back together.
   EXPECT_GE(wakeups.size(), 8u) << "fleet woke in lockstep";
 }
 
-TEST(RetryerTest, AttemptDeadlineMakesSlowFailureTerminal) {
+TEST_P(RetryerTest, AttemptDeadlineMakesSlowFailureTerminal) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.attempt_deadline_us = 100;
-  FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(policy, [&]() -> Status {
     ++calls;
-    time.now_us += 500;  // the attempt itself burns 500us
+    Elapse(500);  // the attempt itself burns 500us
     return Status::Unavailable("slow and broken");
   });
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
@@ -536,23 +591,40 @@ TEST(RetryerTest, AttemptDeadlineMakesSlowFailureTerminal) {
   EXPECT_NE(s.ToString().find("per-attempt deadline"), std::string::npos);
 }
 
-TEST(RetryerTest, OverallDeadlineBoundsTheRetryBudget) {
+TEST_P(RetryerTest, OverallDeadlineBoundsTheRetryBudget) {
   RetryPolicy policy;
   policy.max_attempts = 100;
   policy.overall_deadline_us = 2500;  // admits sleeps of 1000+2000 > budget
-  FakeTime time;
-  Retryer retryer(policy, time.clock(), time.sleep());
   int calls = 0;
-  Status s = retryer.Run([&]() -> Status {
+  Status s = Run(policy, [&]() -> Status {
     ++calls;
     return Status::Unavailable("down");
   });
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
   EXPECT_LE(calls, 3);
   EXPECT_NE(s.ToString().find("retry budget"), std::string::npos);
-  // The fake clock never advanced except through fake sleeps — proof no
+  // The fake clock never advanced except through backoff waits — proof no
   // real time was consumed.
-  EXPECT_LE(time.now_us, 2500);
+  EXPECT_LE(Now(), 2500);
+}
+
+TEST_P(RetryerTest, InlineAttemptsIterateInsteadOfRecursing) {
+  // Every retry runs at the same stack depth: an attempt that completes
+  // inline continues the loop in place instead of nesting the next one.
+  RetryPolicy policy;
+  policy.max_attempts = 100;
+  policy.initial_backoff_us = 0;
+  int calls = 0;
+  uintptr_t second_frame = 0;
+  uintptr_t last_frame = 0;
+  Status s = Run(policy, [&] {
+    last_frame = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+    if (++calls == 2) second_frame = last_frame;
+    return calls < 100 ? Status::Unavailable("again") : Status::OK();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(calls, 100);
+  EXPECT_EQ(second_frame, last_frame);
 }
 
 TEST(CircuitBreakerTest, OpensAfterThresholdAndProbesHalfOpen) {

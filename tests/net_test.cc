@@ -259,10 +259,10 @@ TEST_F(NetFixture, XkmsOverSecureChannel) {
   options.now = kNow;
   Downloader downloader(&server, options, rng_);
 
-  xkms::XkmsClient client(
-      [&downloader](const std::string& request) {
-        return downloader.XkmsExchange(request);
-      });
+  xkms::XkmsClient client([&downloader](const std::string& request,
+                                         xkms::TransportCallback done) {
+    done(downloader.XkmsExchange(request));
+  });
   auto binding = client.Locate("studio-key");
   ASSERT_TRUE(binding.ok()) << binding.status().ToString();
   EXPECT_TRUE(binding->key == studio.public_key);

@@ -9,14 +9,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "common/timer_wheel.h"
 #include "crypto/digest_cache.h"
 #include "crypto/sha256.h"
 #include "player/engine.h"
@@ -187,92 +192,149 @@ xkms::KeyBinding TestBinding(const std::string& name) {
   return binding;
 }
 
+/// A transport that parks every request until the test answers it, so a
+/// whole storm of callers is provably in flight at once.
+struct ParkingTransport {
+  std::mutex mu;
+  std::vector<std::pair<std::string, xkms::TransportCallback>> parked;
+
+  xkms::Transport transport() {
+    return [this](const std::string& request, xkms::TransportCallback done) {
+      std::lock_guard<std::mutex> lock(mu);
+      parked.emplace_back(request, std::move(done));
+    };
+  }
+  size_t calls() {
+    std::lock_guard<std::mutex> lock(mu);
+    return parked.size();
+  }
+};
+
+/// Issues `callers` concurrent LocateAsync calls, one thread each, and
+/// collects what their callbacks receive.
+struct LocateStorm {
+  std::mutex mu;
+  std::vector<Result<xkms::KeyBinding>> results;
+
+  void Run(xkms::LocateCache* cache, size_t callers) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < callers; ++t) {
+      threads.emplace_back([this, cache] {
+        cache->LocateAsync("studio-key", [this](Result<xkms::KeyBinding> r) {
+          std::lock_guard<std::mutex> lock(mu);
+          results.push_back(std::move(r));
+        });
+      });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  size_t size() {
+    std::lock_guard<std::mutex> lock(mu);
+    return results.size();
+  }
+};
+
 TEST(LocateCacheTest, SingleFlightCoalescesConcurrentLookups) {
-  constexpr size_t kThreads = 8;
+  constexpr size_t kCallers = 8;
   xkms::XkmsService service;
   ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
-
-  std::atomic<size_t> transport_calls{0};
-  std::atomic<size_t> entered{0};
-  xkms::Transport transport = [&](const std::string& request) {
-    transport_calls.fetch_add(1);
-    // Hold the leader in flight until every thread has reached Locate, so
-    // the others must either coalesce onto this flight or hit the entry it
-    // publishes — never issue their own transport call.
-    for (int spin = 0; spin < 5000 && entered.load() < kThreads; ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return service.HandleRequest(request);
-  };
-  xkms::XkmsClient client(transport);
+  ParkingTransport wire;
+  xkms::XkmsClient client(wire.transport());
   xkms::LocateCache cache(&client);
 
-  std::atomic<size_t> failures{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      entered.fetch_add(1);
-      Result<xkms::KeyBinding> binding = cache.Locate("studio-key");
-      if (!binding.ok() || binding->name != "studio-key") failures.fetch_add(1);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(transport_calls.load(), 1u);
+  LocateStorm storm;
+  storm.Run(&cache, kCallers);
+  // Every caller is waiting and exactly one request went out.
+  ASSERT_EQ(wire.calls(), 1u);
+  EXPECT_EQ(storm.size(), 0u);
   xkms::LocateCacheStats stats = cache.stats();
   EXPECT_EQ(stats.transport_calls, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  // All-but-the-leader either waited on the flight or hit the fresh entry.
-  EXPECT_EQ(stats.coalesced + stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.coalesced, kCallers - 1);
+
+  wire.parked[0].second(service.HandleRequest(wire.parked[0].first));
+  ASSERT_EQ(storm.size(), kCallers);
+  for (const auto& binding : storm.results) {
+    ASSERT_TRUE(binding.ok()) << binding.status().ToString();
+    EXPECT_EQ(binding->name, "studio-key");
+  }
+  // The answer was cached: the next caller hits without a transport call.
+  EXPECT_TRUE(cache.Locate("studio-key").ok());
+  EXPECT_EQ(wire.calls(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(LocateCacheTest, SingleFlightFailureIsSharedNotAmplified) {
   // A fleet-side storm against a *down* responder: every waiter must share
   // the leader's error instead of each issuing its own doomed transport
   // call, or the cache amplifies the outage by exactly the storm size.
-  constexpr size_t kThreads = 8;
-  std::atomic<size_t> transport_calls{0};
-  xkms::LocateCache* cache_ptr = nullptr;
-  xkms::Transport transport = [&](const std::string&) {
-    transport_calls.fetch_add(1);
-    // Hold the leader in flight until every follower has *attached* to the
-    // flight (coalesced is bumped under the cache lock at attach time), so
-    // all of them share this failure — no follower can arrive after the
-    // flight retires and become a second leader.
-    for (int spin = 0;
-         spin < 5000 && cache_ptr->stats().coalesced < kThreads - 1; ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return Result<std::string>(
-        Status::Unavailable("XKMS transport: responder down"));
-  };
-  xkms::XkmsClient client(transport);
+  constexpr size_t kCallers = 8;
+  ParkingTransport wire;
+  xkms::XkmsClient client(wire.transport());
   xkms::LocateCache cache(&client);
-  cache_ptr = &cache;
 
-  std::atomic<size_t> got_error{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      Result<xkms::KeyBinding> binding = cache.Locate("studio-key");
-      if (!binding.ok() && binding.status().IsUnavailable()) {
-        got_error.fetch_add(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
+  LocateStorm storm;
+  storm.Run(&cache, kCallers);
+  ASSERT_EQ(wire.calls(), 1u);
+  wire.parked[0].second(Status::Unavailable("XKMS transport: responder down"));
 
   // One storm wave, one upstream call — and everyone saw the same verdict.
-  EXPECT_EQ(transport_calls.load(), 1u);
-  EXPECT_EQ(got_error.load(), kThreads);
+  ASSERT_EQ(storm.size(), kCallers);
+  for (const auto& binding : storm.results) {
+    EXPECT_TRUE(binding.status().IsUnavailable())
+        << binding.status().ToString();
+  }
   xkms::LocateCacheStats stats = cache.stats();
   EXPECT_EQ(stats.transport_calls, 1u);
-  EXPECT_EQ(stats.coalesced, kThreads - 1);
-  // The shared failure was never cached: the next call retries upstream.
+  EXPECT_EQ(stats.coalesced, kCallers - 1);
+  // The shared failure was never cached: the next call goes upstream.
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Locate("studio-key").ok());
-  EXPECT_EQ(transport_calls.load(), 2u);
+  cache.LocateAsync("studio-key", [](Result<xkms::KeyBinding>) {});
+  EXPECT_EQ(wire.calls(), 2u);
+  wire.parked[1].second(Status::Unavailable("still down"));
+}
+
+TEST(LocateCacheTest, LocateAsyncInsideAWheelCompletionFinishes) {
+  // The reentrancy rule: code running inside a transport completion takes
+  // the async calls. Here the completion runs on a real TimerWheel thread
+  // (the injected transport delay parks there), and inside it a cache miss
+  // issues another lookup whose own delay needs that same wheel thread. A
+  // blocking Locate in its place would wait on itself forever.
+  xkms::XkmsService service;
+  ASSERT_TRUE(service.Register(TestBinding("first-key")).ok());
+  ASSERT_TRUE(service.Register(TestBinding("second-key")).ok());
+  fault::FaultInjector injector;
+  fault::FaultSpec delay;
+  delay.point = std::string(fault::kXkmsTransport);
+  delay.kind = fault::Kind::kDelay;
+  delay.delay_us = 2000;
+  injector.Arm(delay);
+  TimerWheel wheel;
+  xkms::XkmsClient client(
+      xkms::XkmsClient::DirectTransport(&service, &wheel, &injector));
+  xkms::LocateCache cache(&client);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<Result<xkms::KeyBinding>> second;
+  std::thread::id first_completed_on;
+  cache.LocateAsync("first-key", [&](Result<xkms::KeyBinding> first) {
+    first_completed_on = std::this_thread::get_id();
+    EXPECT_TRUE(first.ok()) << first.status().ToString();
+    cache.LocateAsync("second-key", [&](Result<xkms::KeyBinding> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      second = std::move(r);
+      cv.notify_one();
+    });
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return second.has_value(); });
+  EXPECT_NE(first_completed_on, std::this_thread::get_id());
+  ASSERT_TRUE(second->ok()) << second->status().ToString();
+  EXPECT_EQ((*second)->name, "second-key");
+  xkms::LocateCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.transport_calls, 2u);
 }
 
 TEST(LocateCacheTest, TtlExpiryForcesRefresh) {
@@ -302,12 +364,13 @@ TEST(LocateCacheTest, ErrorsAreDeliveredButNeverCached) {
   xkms::XkmsService service;
   ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
   std::atomic<size_t> calls{0};
-  xkms::Transport transport = [&](const std::string& request) {
+  xkms::Transport transport = [&](const std::string& request,
+                                  xkms::TransportCallback done) {
     if (calls.fetch_add(1) == 0) {
-      return Result<std::string>(
-          Status::Unavailable("XKMS transport: injected outage"));
+      done(Status::Unavailable("XKMS transport: injected outage"));
+      return;
     }
-    return service.HandleRequest(request);
+    done(service.HandleRequest(request));
   };
   xkms::XkmsClient client(transport);
   xkms::LocateCache cache(&client);
@@ -617,7 +680,7 @@ TEST(RetryingTransportConcurrencyTest, SharedTransportCountsEveryCall) {
   ASSERT_TRUE(service.Register(TestBinding("studio-key")).ok());
   std::shared_ptr<const xkms::RetryingTransportStats> stats;
   xkms::Transport transport = xkms::MakeRetryingTransport(
-      xkms::XkmsClient::DirectTransport(&service), {}, &stats);
+      xkms::XkmsClient::DirectTransport(&service), {}, nullptr, &stats);
   xkms::XkmsClient client(transport);
 
   std::atomic<size_t> failures{0};

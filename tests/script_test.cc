@@ -277,6 +277,43 @@ TEST(InterpreterErrorTest, CallDepthEnforced) {
   EXPECT_TRUE(result.status().IsResourceExhausted());
 }
 
+TEST(ParserTest, DeepNestingIsResourceExhaustedNotACrash) {
+  // Script sources are untrusted; 10^5 nested parentheses used to recurse
+  // the parser off the end of the stack.
+  constexpr int kDepth = 100000;
+  std::string source =
+      "var x = " + std::string(kDepth, '(') + "1" + std::string(kDepth, ')') +
+      ";";
+  auto program = ParseProgram(source);
+  ASSERT_FALSE(program.ok());
+  EXPECT_TRUE(program.status().IsResourceExhausted())
+      << program.status().ToString();
+  // Statements nest the same way.
+  auto blocks =
+      ParseProgram(std::string(kDepth, '{') + std::string(kDepth, '}'));
+  EXPECT_TRUE(blocks.status().IsResourceExhausted())
+      << blocks.status().ToString();
+  // Ordinary nesting still parses.
+  EXPECT_TRUE(ParseProgram("var y = " + std::string(50, '(') + "1" +
+                           std::string(50, ')') + ";")
+                  .ok());
+}
+
+TEST(InterpreterErrorTest, DeepExpressionTreeIsResourceExhaustedNotACrash) {
+  // A long operator chain parses iteratively into a left-deep tree of
+  // 10^5 levels; evaluating (and freeing) it must not overflow the stack.
+  std::string source = "var x = 1";
+  for (int i = 0; i < 100000; ++i) source += "+1";
+  source += ";";
+  Interpreter interp;
+  auto result = interp.Run(source);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsResourceExhausted())
+      << result.status().ToString();
+  // A short chain still evaluates.
+  EXPECT_EQ(interp.Run("1+1+1+1").value().AsNumber(), 4.0);
+}
+
 TEST(InterpreterErrorTest, HugeArrayIndexRejected) {
   Interpreter interp;
   auto result = interp.Run("var a = []; a[99999999] = 1;");

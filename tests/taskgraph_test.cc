@@ -464,9 +464,7 @@ TEST(AsyncXkmsTest, InjectedDelayParksOnWheelNotOnACaller) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &injector));
-  client.set_async_transport(
-      xkms::XkmsClient::DirectAsyncTransport(&fx.service, &wheel, &injector));
+      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -496,8 +494,8 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
   // Inner transport: fail with a retryable status twice, then answer for
   // real. Completions are inline, so any overlap comes from the wheel.
   std::atomic<int> attempts{0};
-  xkms::AsyncTransport flaky =
-      [&](const std::string& request, xkms::AsyncCallback done_cb) {
+  xkms::Transport flaky =
+      [&](const std::string& request, xkms::TransportCallback done_cb) {
         int n = ++attempts;
         if (n <= 2) {
           done_cb(Status::Unavailable("trust service warming up"));
@@ -512,11 +510,7 @@ TEST(AsyncXkmsTest, RetryBackoffParksOnWheelAndEventuallySucceeds) {
   options.retry.backoff_multiplier = 2.0;
   options.retry.jitter = 0.0;
   options.clock = [&] { return wheel.NowUs(); };
-  xkms::AsyncTransport retrying =
-      xkms::MakeAsyncRetryingTransport(flaky, options, &wheel);
-
-  xkms::XkmsClient client(xkms::XkmsClient::DirectTransport(&fx.service));
-  client.set_async_transport(retrying);
+  xkms::XkmsClient client(xkms::MakeRetryingTransport(flaky, options, &wheel));
 
   std::atomic<bool> done{false};
   Result<xkms::KeyBinding> out = Status::Unavailable("not completed");
@@ -558,9 +552,7 @@ TEST(AsyncXkmsTest, GraphNodeDrivenByWheelReleasesPoolWorkers) {
   injector.Arm(spec);
 
   xkms::XkmsClient client(
-      xkms::XkmsClient::DirectTransport(&fx.service, &injector));
-  client.set_async_transport(
-      xkms::XkmsClient::DirectAsyncTransport(&fx.service, &wheel, &injector));
+      xkms::XkmsClient::DirectTransport(&fx.service, &wheel, &injector));
 
   ThreadPool pool(1);
   std::atomic<int> sibling_runs{0};

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/await.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
 #include "common/timer_wheel.h"
@@ -650,7 +651,7 @@ TEST_F(XkmsdFixture, SnapshotRefreshesEveryNMutations) {
 
 // -------------------------------------------- transports and integration
 
-TEST_F(XkmsdFixture, AsyncServerTransportCompletesClientCalls) {
+TEST_F(XkmsdFixture, ServerTransportCompletesOnResponderWorkers) {
   fault::FaultInjector injector(1);
   ThreadPool pool(2);
   XkmsdOptions options;
@@ -661,22 +662,18 @@ TEST_F(XkmsdFixture, AsyncServerTransportCompletesClientCalls) {
                   .ok());
 
   XkmsClient client(MakeServerTransport(&server));
-  client.set_async_transport(MakeAsyncServerTransport(&server));
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<Result<KeyBinding>> found;
-  client.LocateAsync("studio-1", [&](Result<KeyBinding> r) {
-    std::lock_guard<std::mutex> lock(mu);
-    found = std::move(r);
-    cv.notify_one();
-  });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return found.has_value(); });
-  }
-  ASSERT_TRUE(found->ok());
-  EXPECT_EQ((*found)->status, KeyStatus::kValid);
+  std::thread::id completed_on;
+  auto found = Await<Result<KeyBinding>>(
+      [&](std::function<void(Result<KeyBinding>)> done) {
+        client.LocateAsync("studio-1", [&, done](Result<KeyBinding> r) {
+          completed_on = std::this_thread::get_id();
+          done(std::move(r));
+        });
+      });
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found->status, KeyStatus::kValid);
+  EXPECT_NE(completed_on, std::this_thread::get_id());
 }
 
 TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
@@ -702,11 +699,12 @@ TEST_F(XkmsdFixture, ShedHintDrivesRetryingTransportBackoff) {
     fake_now += us;
   };
   std::shared_ptr<const RetryingTransportStats> stats;
-  Transport retrying =
-      MakeRetryingTransport(MakeServerTransport(&server), retry_options,
-                            &stats);
+  Transport retrying = MakeRetryingTransport(
+      MakeServerTransport(&server), retry_options, /*wheel=*/nullptr, &stats);
 
-  auto response = retrying(BuildLocateRequest("studio-1"));
+  auto response = Await<Result<std::string>>([&](TransportCallback done) {
+    retrying(BuildLocateRequest("studio-1"), std::move(done));
+  });
   // Every attempt sheds (the limits stay zero); the point is the backoff:
   // the Retryer slept the server's 7000us hint, not its 1us local step.
   ASSERT_FALSE(response.ok());

@@ -15,12 +15,20 @@ namespace {
 /// the stack.
 constexpr int kMaxNesting = 256;
 
+/// Recursive descent over tokens pulled from the lexer on demand: the
+/// parser only ever looks at the current token, so a program it rejects
+/// early (a nesting bomb) is never lexed past the point of rejection.
 class ParserImpl {
  public:
-  ParserImpl(std::vector<Token> tokens, Program* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  ParserImpl(std::string_view source, Program* program)
+      : lexer_(source), program_(program) {}
+
+  /// The first lex error, if parsing read that far; the parser sees it as
+  /// the end of input, so it outranks whatever parse error that caused.
+  const Status& lex_error() const { return lex_error_; }
 
   Result<NodePtr> Run() {
+    Advance();  // load the first token
     auto root = std::make_unique<Node>(NodeType::kProgram);
     while (!AtEnd()) {
       DISCSEC_ASSIGN_OR_RETURN(NodePtr stmt, ParseStatement());
@@ -30,11 +38,20 @@ class ParserImpl {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  const Token& Peek() const { return current_; }
+  /// Consumes the current token and returns it (valid until the next
+  /// Advance).
+  const Token& Advance() {
+    previous_ = std::move(current_);
+    Result<Token> next = lexer_.Next();
+    if (next.ok()) {
+      current_ = std::move(next).value();
+    } else {
+      if (lex_error_.ok()) lex_error_ = next.status();
+      current_ = Token{TokenType::kEnd, "", 0.0, "", previous_.line};
+    }
+    return previous_;
   }
-  const Token& Advance() { return tokens_[pos_++]; }
   bool AtEnd() const { return Peek().type == TokenType::kEnd; }
 
   bool CheckPunct(std::string_view p) const {
@@ -619,19 +636,23 @@ class ParserImpl {
     return Error("unexpected token");
   }
 
-  std::vector<Token> tokens_;
+  Lexer lexer_;
+  Token current_;
+  Token previous_;
+  Status lex_error_;
   Program* program_;
-  size_t pos_ = 0;
   int depth_ = 0;  ///< current recursive-descent nesting, see Nesting
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view source) {
-  DISCSEC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   Program program;
-  ParserImpl parser(std::move(tokens), &program);
-  DISCSEC_ASSIGN_OR_RETURN(program.root, parser.Run());
+  ParserImpl parser(source, &program);
+  Result<NodePtr> root = parser.Run();
+  DISCSEC_RETURN_IF_ERROR(parser.lex_error());
+  if (!root.ok()) return root.status();
+  program.root = std::move(root).value();
   return program;
 }
 

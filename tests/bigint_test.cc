@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "bench/alloc_tracker.h"
+#include "crypto/algorithms.h"
 #include "crypto/bigint.h"
+#include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace discsec {
 namespace crypto {
@@ -212,6 +216,189 @@ TEST(BigIntTest, GeneratePrimeIsPrimeAndRightSize) {
   BigInt p = BigInt::GeneratePrime(128, &rng);
   EXPECT_EQ(p.BitLength(), 128u);
   EXPECT_TRUE(BigInt::IsProbablePrime(p, 30, &rng));
+}
+
+// ---------------------------------------------- ModPow differential tests
+
+/// Left-to-right square-and-multiply from public BigInt operations only:
+/// the oracle the Montgomery ModPow is checked against.
+BigInt NaiveModPow(const BigInt& base, const BigInt& exponent,
+                   const BigInt& modulus) {
+  BigInt acc = BigInt(1).Mod(modulus).value();
+  BigInt b = base.Mod(modulus).value();
+  for (size_t i = exponent.BitLength(); i-- > 0;) {
+    acc = (acc * acc).Mod(modulus).value();
+    if (exponent.Bit(i)) acc = (acc * b).Mod(modulus).value();
+  }
+  return acc;
+}
+
+void ExpectMatchesOracle(const BigInt& base, const BigInt& exponent,
+                         const BigInt& modulus) {
+  auto got = BigInt::ModPow(base, exponent, modulus);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), NaiveModPow(base, exponent, modulus))
+      << "base " << base.ToDecimalString() << " exponent "
+      << exponent.ToDecimalString() << " modulus "
+      << modulus.ToDecimalString();
+}
+
+/// A modulus of exactly `bits` bits with the requested parity (an even
+/// one needs bits >= 2).
+BigInt ModulusWithBits(size_t bits, bool odd, Rng* rng) {
+  BigInt m = BigInt::RandomWithBits(bits, rng);
+  if (m.IsOdd() == odd) return m;
+  return odd ? m + BigInt(1) : m - BigInt(1);
+}
+
+TEST(ModPowDifferentialTest, RandomOddAndEvenModuliMatchNaiveLoop) {
+  // Widths straddling every 64-bit boundary the Montgomery limbs cross,
+  // plus seeded random widths up to 2048 bits, each with both parities.
+  std::vector<size_t> widths = {1,   2,   31,  32,  33,   63,   64,
+                                65,  127, 128, 129, 511,  512,  513,
+                                1023, 1024, 1025, 2047, 2048};
+  Rng rng(20050915);
+  for (int i = 0; i < 40; ++i) widths.push_back(1 + rng.NextBelow(2048));
+  for (size_t bits : widths) {
+    for (bool odd : {true, false}) {
+      if (bits == 1 && !odd) continue;  // the only 1-bit modulus is 1
+      BigInt m = ModulusWithBits(bits, odd, &rng);
+      // Bases both below and well above the modulus; exponents of 0 to
+      // 192 bits (the oracle's cost grows with width times exponent).
+      BigInt below = BigInt::RandomBelow(m, &rng);
+      BigInt above = BigInt::RandomWithBits(bits + 1 + rng.NextBelow(96),
+                                            &rng);
+      BigInt e = BigInt::RandomWithBits(rng.NextBelow(193), &rng);
+      SCOPED_TRACE(testing::Message() << bits << "-bit "
+                                      << (odd ? "odd" : "even"));
+      ExpectMatchesOracle(below, e, m);
+      ExpectMatchesOracle(above, e, m);
+    }
+  }
+}
+
+TEST(ModPowDifferentialTest, EdgeCases) {
+  Rng rng(7);
+  BigInt m = ModulusWithBits(200, /*odd=*/true, &rng);
+  BigInt e = BigInt::RandomWithBits(150, &rng);
+  // Base >= modulus, including exact multiples of it.
+  ExpectMatchesOracle(m, e, m);
+  ExpectMatchesOracle(m * BigInt(3) + BigInt(5), e, m);
+  // Base 0: 0^e = 0, 0^0 = 1.
+  ExpectMatchesOracle(BigInt(), e, m);
+  EXPECT_EQ(BigInt::ModPow(BigInt(), BigInt(), m).value(), BigInt(1));
+  // Exponent 0.
+  ExpectMatchesOracle(BigInt(12345), BigInt(), m);
+  EXPECT_EQ(BigInt::ModPow(BigInt(12345), BigInt(), m).value(), BigInt(1));
+  // Modulus 1: everything is 0.
+  for (const BigInt& x : {BigInt(), BigInt(1), BigInt(99), m}) {
+    EXPECT_EQ(BigInt::ModPow(x, e, BigInt(1)).value(), BigInt());
+    EXPECT_EQ(BigInt::ModPow(x, BigInt(), BigInt(1)).value(), BigInt());
+  }
+  // All-ones top 64-bit limb: 2^256 - 1 and 2^192 - 2^128 + odd low limbs.
+  BigInt all_ones = BigInt(1).ShiftLeft(256) - BigInt(1);
+  ExpectMatchesOracle(BigInt::RandomBelow(all_ones, &rng), e, all_ones);
+  BigInt top_ones = (BigInt(~0ULL).ShiftLeft(128)) +
+                    ModulusWithBits(127, /*odd=*/true, &rng);
+  ExpectMatchesOracle(BigInt::RandomBelow(top_ones, &rng), e, top_ones);
+  // One limb past a 64-bit boundary: the top 64-bit limb is just 1.
+  for (size_t boundary : {64u, 128u, 512u, 1024u}) {
+    BigInt past = BigInt(1).ShiftLeft(boundary) +
+                  ModulusWithBits(boundary - 3, /*odd=*/true, &rng);
+    ExpectMatchesOracle(BigInt::RandomBelow(past, &rng), e, past);
+    ExpectMatchesOracle(past - BigInt(1), e, past);
+  }
+  // Modulus - 1 squared is 1: exercises the conditional subtraction.
+  ExpectMatchesOracle(m - BigInt(1), BigInt(2), m);
+  // Either side of the 64-bit line between square-and-multiply (public
+  // exponents) and fixed windows.
+  for (size_t bits : {63u, 64u, 65u, 66u}) {
+    ExpectMatchesOracle(BigInt::RandomBelow(m, &rng),
+                        BigInt::RandomWithBits(bits, &rng), m);
+  }
+}
+
+TEST(ModPowDifferentialTest, RejectsBadArguments) {
+  EXPECT_FALSE(BigInt::ModPow(BigInt(2), BigInt(3), BigInt()).ok());
+  EXPECT_FALSE(
+      BigInt::ModPow(BigInt(2), BigInt(3), BigInt() - BigInt(7)).ok());
+  EXPECT_FALSE(
+      BigInt::ModPow(BigInt(2), BigInt() - BigInt(3), BigInt(7)).ok());
+}
+
+// ---------------------------------------------------- RSA byte identity
+
+TEST(RsaPinnedTest, FixedSeedKeysSignToPinnedBytes) {
+  // PKCS#1 v1.5 is deterministic and key generation draws a fixed RNG
+  // stream, so these bytes pin the whole RSA stack (prime search,
+  // Miller-Rabin, CRT private op) across changes to the arithmetic.
+  struct Pin {
+    size_t bits;
+    const char* modulus;
+    const char* signature;
+  };
+  const Pin pins[] = {
+      {512,
+       "8278ee0f10c6d169fe5be07626616c0a31fe03d1ce3ce17c7734f2b6150478e7"
+       "4a7ac16552b142cf71286c7bfa9dd37b4e94ece4f59efe088c226a69f3430973",
+       "6048ef29d57dcefcdd40b7e288b67ab40280a9190d5afd1d157bb1d7bbe42e69"
+       "9c065510730c9ac09d6891d1a3416b7eafc5120d98c95b9c7247c8a2d9f9a5ab"},
+      {1024,
+       "8743acaeb9181aa3c6666e8753b1400f437f26c617c867fe5b316c72a2c84fcc"
+       "e46707ca9960e9a7de631e4617cc37946ebf1ca18773de6d5105976fc867d1c7"
+       "2e4a0cde5fe87b17145761f14d8746517211e61728f57723af6ac121cc3d809a"
+       "8b0b382c8aff6b196e3630ddce70685b08c3fcc5616f671f89fe61b218df9bd7",
+       "0c4bd16521dad2e4de7e27b66a3655415062ed4018c433875e60bb4bce97ccd5"
+       "bfaaf164c5332d4c643e17f5dada54d5d4902ca20f53e42ced795fb5ee290caf"
+       "4dd2f0797946621b40158b3d6c0a842b36a6bba02af9bdf1aceb64832fb2932e"
+       "dca7b456c7b8631e3d7980edc41efc2c09b38ad6ecc90ad55586359d6b11244f"},
+  };
+  Bytes digest = Sha256::Hash(ToBytes("discsec pinned signature"));
+  for (const Pin& pin : pins) {
+    Rng rng(20050915 + pin.bits);
+    auto pair = RsaGenerateKeyPair(pin.bits, &rng).value();
+    EXPECT_EQ(ToHex(pair.public_key.modulus.ToBytesBE()), pin.modulus);
+    auto signature = RsaSignDigest(pair.private_key, kAlgSha256, digest);
+    ASSERT_TRUE(signature.ok());
+    EXPECT_EQ(ToHex(signature.value()), pin.signature) << pin.bits;
+    EXPECT_TRUE(RsaVerifyDigest(pair.public_key, kAlgSha256, digest,
+                                signature.value())
+                    .ok());
+  }
+}
+
+TEST(RsaAllocationTest, HeapCallsDoNotGrowWithKeySize) {
+  // The exponentiation runs in one workspace per ModPow call, so a sign
+  // or verify makes the same few heap allocations for any key size: none
+  // per exponent bit.
+  Bytes digest = Sha256::Hash(ToBytes("allocation bound"));
+  size_t sign_allocs[2][2];
+  size_t verify_allocs[2][2];
+  const size_t sizes[] = {512, 1024};
+  for (int s = 0; s < 2; ++s) {
+    for (int k = 0; k < 2; ++k) {
+      Rng rng(100 * s + k);
+      auto pair = RsaGenerateKeyPair(sizes[s], &rng).value();
+      bench::ResetAllocStats();
+      auto signature = RsaSignDigest(pair.private_key, kAlgSha256, digest);
+      sign_allocs[s][k] = bench::AllocCount();
+      ASSERT_TRUE(signature.ok());
+      bench::ResetAllocStats();
+      Status verdict = RsaVerifyDigest(pair.public_key, kAlgSha256, digest,
+                                       signature.value());
+      verify_allocs[s][k] = bench::AllocCount();
+      EXPECT_TRUE(verdict.ok());
+    }
+  }
+  for (int s = 0; s < 2; ++s) {
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(sign_allocs[s][k], sign_allocs[0][0]) << sizes[s] << "/" << k;
+      EXPECT_EQ(verify_allocs[s][k], verify_allocs[0][0])
+          << sizes[s] << "/" << k;
+    }
+  }
+  EXPECT_LE(sign_allocs[0][0], 32u);
+  EXPECT_LE(verify_allocs[0][0], 32u);
 }
 
 }  // namespace
